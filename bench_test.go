@@ -103,27 +103,41 @@ func BenchmarkMonteCarloWorkers(b *testing.B) {
 // envelope sampler is built for, where one inform changes every live weight
 // and v1 pays a Fenwick update per change (sparse hub-dominated families
 // stay on v1's Fenwick path even under v2; see the worker-sweep anchor for
-// that regime). 96 repetitions, reported per repetition.
+// that regime). Clique-256 runs 96 repetitions; the clique-1024 case, whose
+// adjacency outgrows a 2 MiB L2, runs 12. Both report wall time per
+// repetition and, as the kernel anchor, per informative contact: a clique
+// run informs every vertex, so a repetition is exactly n-1 events.
 func BenchmarkMonteCarloStream(b *testing.B) {
-	for _, sv := range []int{rumor.StreamV1, rumor.StreamV2} {
-		for _, p := range []int{1, 8} {
-			b.Run(fmt.Sprintf("stream=v%d/workers=%d", sv, p), func(b *testing.B) {
-				eng := rumor.Engine{Parallelism: p, Seed: 20200424}
-				sc := rumor.Scenario{
-					Network: rumor.NetworkSpec{Family: "clique", Params: rumor.Params{"n": 256}},
-					Stream:  sv,
-				}
-				for i := 0; i < b.N; i++ {
-					st, err := eng.RunStats(sc, monteCarloBenchReps)
-					if err != nil {
-						b.Fatal(err)
+	cases := []struct {
+		prefix  string
+		n, reps int
+	}{
+		{"", 256, monteCarloBenchReps},
+		{"clique=1024/", 1024, 12},
+	}
+	for _, c := range cases {
+		for _, sv := range []int{rumor.StreamV1, rumor.StreamV2} {
+			for _, p := range []int{1, 8} {
+				b.Run(fmt.Sprintf("%sstream=v%d/workers=%d", c.prefix, sv, p), func(b *testing.B) {
+					eng := rumor.Engine{Parallelism: p, Seed: 20200424}
+					sc := rumor.Scenario{
+						Network: rumor.NetworkSpec{Family: "clique", Params: rumor.Params{"n": float64(c.n)}},
+						Stream:  sv,
 					}
-					if st.Completed != st.Reps {
-						b.Fatal("incomplete repetitions on the clique")
+					for i := 0; i < b.N; i++ {
+						st, err := eng.RunStats(sc, c.reps)
+						if err != nil {
+							b.Fatal(err)
+						}
+						if st.Completed != st.Reps {
+							b.Fatal("incomplete repetitions on the clique")
+						}
 					}
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/monteCarloBenchReps, "ns/rep")
-			})
+					perRep := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(c.reps)
+					b.ReportMetric(perRep, "ns/rep")
+					b.ReportMetric(perRep/float64(c.n-1), "ns/event")
+				})
+			}
 		}
 	}
 }

@@ -12,16 +12,13 @@ import (
 )
 
 // Clique returns the complete graph K_n.
-func Clique(n int) *graph.Graph {
-	b := graph.NewBuilder(n)
-	AppendClique(b, n)
-	return b.Build()
-}
+func Clique(n int) *graph.Graph { return graph.CliqueInto(nil, n) }
 
 // AppendClique emits the edges of the complete graph on vertices 0..n-1 into
 // b (which must already accommodate n vertices). It is the shared emission
-// primitive behind Clique and the degenerate complete-graph branches of the
-// random-family emitters.
+// primitive behind the clique-containing constructions and the degenerate
+// complete-graph branches of the random-family emitters; Clique alone builds
+// through graph.CliqueInto.
 func AppendClique(b *graph.Builder, n int) {
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {

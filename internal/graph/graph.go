@@ -297,19 +297,7 @@ func StarInto(dst *Graph, n, center int) *Graph {
 	if center < 0 || center >= n {
 		panic(fmt.Sprintf("graph: star center %d out of range for n=%d", center, n))
 	}
-	if dst == nil {
-		dst = &Graph{}
-	}
-	m := n - 1
-	dst.n = n
-	if cap(dst.edges) >= m {
-		dst.edges = dst.edges[:m]
-	} else {
-		dst.edges = make([]Edge, m)
-	}
-	dst.degree = growInts(dst.degree, n)
-	dst.adjOff = growInts(dst.adjOff, n+1)
-	dst.adj = growInts(dst.adj, 2*m)
+	dst = reshape(dst, n, n-1)
 	// Canonical sorted edge list: {v, center} for v < center, then {center, v}
 	// for v > center.
 	for v := 0; v < center; v++ {
@@ -324,7 +312,7 @@ func StarInto(dst *Graph, n, center int) *Graph {
 	for v := 0; v < n; v++ {
 		dst.adjOff[v] = off
 		if v == center {
-			dst.degree[v] = m
+			dst.degree[v] = n - 1
 			for u := 0; u < n; u++ {
 				if u != center {
 					dst.adj[off] = u
@@ -338,7 +326,61 @@ func StarInto(dst *Graph, n, center int) *Graph {
 		}
 	}
 	dst.adjOff[n] = off
+	return dst
+}
+
+// reshape readies dst (nil allocates a fresh graph) to be filled in place
+// with n vertices and m edges: every array has its final length, recycling
+// dst's backing arrays when their capacity suffices, and the volume is set.
+// The contents are left for the caller to write.
+func reshape(dst *Graph, n, m int) *Graph {
+	if dst == nil {
+		dst = &Graph{}
+	}
+	dst.n = n
+	if cap(dst.edges) >= m {
+		dst.edges = dst.edges[:m]
+	} else {
+		dst.edges = make([]Edge, m)
+	}
+	dst.degree = growInts(dst.degree, n)
+	dst.adjOff = growInts(dst.adjOff, n+1)
+	dst.adj = growInts(dst.adj, 2*m)
 	dst.volume = 2 * m
+	return dst
+}
+
+// CliqueInto builds the complete graph K_n directly in compressed form,
+// recycling dst's backing arrays (nil dst allocates a fresh graph). Like
+// StarInto it produces exactly the graph the builder would for the same
+// edge set, but writes the edge list and CSR directly: at n=1024 the
+// builder's counting sorts over the n(n-1)/2 edges cost several times the
+// fill and a second copy of the edge list. It panics if n < 0.
+func CliqueInto(dst *Graph, n int) *Graph {
+	if n < 0 {
+		panic("graph: negative vertex count")
+	}
+	dst = reshape(dst, n, n*(n-1)/2)
+	i := 0
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			dst.edges[i] = Edge{U: u, V: v}
+			i++
+		}
+	}
+	// Every neighbor list is every other vertex in increasing order.
+	off := 0
+	for v := 0; v < n; v++ {
+		dst.adjOff[v] = off
+		dst.degree[v] = n - 1
+		for u := 0; u < n; u++ {
+			if u != v {
+				dst.adj[off] = u
+				off++
+			}
+		}
+	}
+	dst.adjOff[n] = off
 	return dst
 }
 
@@ -358,16 +400,6 @@ func (g *Graph) Volume() int { return g.volume }
 // internal storage and must not be modified.
 func (g *Graph) Neighbors(v int) []int {
 	return g.adj[g.adjOff[v]:g.adjOff[v+1]]
-}
-
-// ForEachNeighbor calls fn for every neighbor of v in sorted order. It is the
-// allocation-free traversal the hot loops use: the compiler keeps the single
-// bounds-checked reslice outside the loop, and no neighbor slice header
-// escapes.
-func (g *Graph) ForEachNeighbor(v int, fn func(u int)) {
-	for _, u := range g.adj[g.adjOff[v]:g.adjOff[v+1]] {
-		fn(u)
-	}
 }
 
 // Neighbor returns the i-th neighbor of v (0-based, in sorted order).

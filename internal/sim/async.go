@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"math/bits"
 
 	"dynamicrumor/internal/dynamic"
 	"dynamicrumor/internal/graph"
@@ -163,9 +164,7 @@ func RunAsyncInto(net dynamic.Network, opts AsyncOptions, rng *xrand.RNG, sc *Sc
 // followed by the appropriate neighbor choice reproduces the law of the next
 // informative contact.
 type asyncState struct {
-	n        int
-	mode     Mode
-	rate     float64
+	rates    contactRates
 	informed []bool
 	g        *graph.Graph
 	// counts[v] is the number of uninformed neighbors if v is informed, and
@@ -177,9 +176,7 @@ type asyncState struct {
 // prepare re-targets the state to a run on n vertices, recycling every
 // backing array.
 func (st *asyncState) prepare(n int, mode Mode, rate float64) {
-	st.n = n
-	st.mode = mode
-	st.rate = rate
+	st.rates.prepare(mode, rate)
 	st.g = nil
 	st.informed = growBools(st.informed, n)
 	st.counts = growInts(st.counts, n)
@@ -187,57 +184,22 @@ func (st *asyncState) prepare(n int, mode Mode, rate float64) {
 }
 
 // loadGraph recomputes all counts and weights for a freshly exposed graph.
-// The fused pass is bit-identical to the straightforward
-// Reset-then-Set-per-vertex rebuild: weights are accumulated into the
-// Fenwick tree in the same ascending vertex order (see fenwick.Add), the
-// weight formula is vertexWeight inlined, and zero weights touch nothing —
-// the pass only avoids the per-neighbor closure and the Set delta
-// bookkeeping, which dominate graph reloads on rebuilding dynamic networks.
+// It is bit-identical to the straightforward Reset-then-Set-per-vertex
+// rebuild: the counts are exact integers however they are tallied (countCut
+// scans only the smaller side of the cut), the weight formula is
+// contactRates.weight, the same one inform uses, and weights are accumulated
+// into the Fenwick tree in the same ascending vertex order (see
+// fenwick.Add), with zero weights touching nothing.
 func (st *asyncState) loadGraph(g *graph.Graph) {
 	st.g = g
+	st.rates.load(g)
 	st.weights.Reset()
-	informed := st.informed
-	mode, rate := st.mode, st.rate
-	for v := 0; v < st.n; v++ {
-		cnt := 0
-		inf := informed[v]
-		nb := g.Neighbors(v)
-		for _, u := range nb {
-			if informed[u] != inf {
-				cnt++
-			}
-		}
-		st.counts[v] = cnt
-		if cnt == 0 {
-			continue
-		}
-		if inf {
-			if mode == PullOnly {
-				continue
-			}
-		} else if mode == PushOnly {
-			continue
-		}
-		st.weights.Add(v, rate*float64(cnt)/float64(len(nb)))
-	}
-}
-
-// vertexWeight returns the informative-contact rate contributed by v.
-func (st *asyncState) vertexWeight(v int) float64 {
-	d := st.g.Degree(v)
-	if d == 0 || st.counts[v] == 0 {
-		return 0
-	}
-	if st.informed[v] {
-		if st.mode == PullOnly {
-			return 0
-		}
-	} else {
-		if st.mode == PushOnly {
-			return 0
+	countCut(g, st.informed, st.counts)
+	for v, c := range st.counts {
+		if w := st.rates.weight(g, v, c, b2i(st.informed[v])); w != 0 {
+			st.weights.Add(v, w)
 		}
 	}
-	return st.rate * float64(st.counts[v]) / float64(d)
 }
 
 // sampleNewlyInformed draws the vertex that becomes informed by the next
@@ -257,14 +219,18 @@ func (st *asyncState) sampleNewlyInformed(rng *xrand.RNG, total float64) int {
 		return x
 	}
 	// x pushed the rumor to a uniformly random uninformed neighbor.
-	target := rng.Intn(st.counts[x])
+	return pushTarget(st.g.Neighbors(x), st.informed, rng.Intn(st.counts[x]))
+}
+
+// pushTarget returns the (target+1)-th uninformed vertex of nb, or -1 if nb
+// has no more than target of them. Counting instead of testing keeps the
+// scan free of branches on the informed status.
+func pushTarget(nb []int, informed []bool, target int) int {
 	seen := 0
-	for _, u := range st.g.Neighbors(x) {
-		if !st.informed[u] {
-			if seen == target {
-				return u
-			}
-			seen++
+	for _, u := range nb {
+		seen += b2i(!informed[u])
+		if seen > target {
+			return u
 		}
 	}
 	return -1
@@ -276,42 +242,50 @@ func (st *asyncState) inform(v int) {
 		return
 	}
 	st.informed[v] = true
+	g, counts, informed, rates := st.g, st.counts, st.informed, &st.rates
+	nb := g.Neighbors(v)
 	// v's own count switches meaning: it now counts uninformed neighbors.
-	nb := st.g.Neighbors(v)
-	cnt := 0
-	for _, u := range nb {
-		if !st.informed[u] {
-			cnt++
+	// Until now it counted the informed ones, so the rest of N(v) is
+	// exactly the new count.
+	cnt := len(nb) - counts[v]
+	counts[v] = cnt
+	// fenwick.Set's walk, inlined. Every walk starting at or below the root
+	// node (the largest power of two <= n) ends there, so the root's running
+	// sum is carried in acc and stored once; it receives the same additions
+	// in the same order. No weight here is negative (Set's clamp never
+	// fires), and an unchanged weight touches nothing, exactly as in Set.
+	tree, weight := st.weights.tree, st.weights.weight
+	root := 1 << (bits.Len(uint(len(weight))) - 1)
+	below := tree[:root]
+	acc := tree[root]
+	set := func(i int, w float64) {
+		delta := w - weight[i]
+		if delta == 0 {
+			return
+		}
+		weight[i] = w
+		j := i + 1
+		for ; j < len(below); j += j & -j {
+			below[j] += delta
+		}
+		if j == root {
+			acc += delta
+			return
+		}
+		for ; j < len(tree); j += j & -j {
+			tree[j] += delta
 		}
 	}
-	st.counts[v] = cnt
-	st.weights.Set(v, st.vertexWeight(v))
-	// Every neighbor's count changes by one. The weight formula is
-	// vertexWeight inlined, minus the degree-zero branch (a neighbor has
-	// degree >= 1 by construction); the informing of a hub vertex updates
-	// every leaf here, so this loop is the hottest edge of the simulator.
-	mode, rate := st.mode, st.rate
+	set(v, rates.weight(g, v, cnt, 1))
+	// Every neighbor's count moves by one: an informed u lost an uninformed
+	// neighbor, an uninformed u gained an informed one. The informing of a
+	// hub vertex updates every leaf here, so this loop is the hottest edge
+	// of the simulator.
 	for _, u := range nb {
-		cu := st.counts[u]
-		inf := st.informed[u]
-		if inf {
-			// u lost an uninformed neighbor.
-			cu--
-		} else {
-			// u gained an informed neighbor.
-			cu++
-		}
-		st.counts[u] = cu
-		var w float64
-		if cu != 0 {
-			if inf {
-				if mode != PullOnly {
-					w = rate * float64(cu) / float64(st.g.Degree(u))
-				}
-			} else if mode != PushOnly {
-				w = rate * float64(cu) / float64(st.g.Degree(u))
-			}
-		}
-		st.weights.Set(u, w)
+		side := b2i(informed[u])
+		cu := counts[u] + 1 - 2*side
+		counts[u] = cu
+		set(u, rates.weight(g, u, cu, side))
 	}
+	tree[root] = acc
 }

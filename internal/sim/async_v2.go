@@ -84,8 +84,7 @@ const v2MaxEnvelope = 4.0
 //     Θ(log n) tree update in v1.
 type asyncStateV2 struct {
 	n        int
-	mode     Mode
-	rate     float64
+	rates    contactRates
 	informed []bool
 	g        *graph.Graph
 	// counts[v] is the number of uninformed neighbors if v is informed, and
@@ -130,8 +129,7 @@ type asyncStateV2 struct {
 // RNG stream, so leftovers from a previous repetition must never leak in).
 func (st *asyncStateV2) prepare(n int, mode Mode, rate float64) {
 	st.n = n
-	st.mode = mode
-	st.rate = rate
+	st.rates.prepare(mode, rate)
 	st.g = nil
 	st.informed = growBools(st.informed, n)
 	st.counts = growInt32s(st.counts, n)
@@ -184,36 +182,15 @@ func (st *asyncStateV2) changedCap() int { return 16 + st.n/4 }
 
 // loadGraph recomputes counts and live weights for a freshly exposed graph,
 // picks the sampling backend for its density, and (re)builds that backend;
-// the counting pass mirrors asyncState.loadGraph.
+// the counting and weight passes are asyncState.loadGraph's.
 func (st *asyncStateV2) loadGraph(g *graph.Graph) {
 	st.g = g
-	informed := st.informed
-	mode, rate := st.mode, st.rate
-	degSum := 0
-	for v := 0; v < st.n; v++ {
-		cnt := int32(0)
-		inf := informed[v]
-		nb := g.Neighbors(v)
-		degSum += len(nb)
-		for _, u := range nb {
-			if informed[u] != inf {
-				cnt++
-			}
-		}
-		st.counts[v] = cnt
-		w := 0.0
-		if cnt != 0 {
-			if inf {
-				if mode != PullOnly {
-					w = rate * float64(cnt) / float64(len(nb))
-				}
-			} else if mode != PushOnly {
-				w = rate * float64(cnt) / float64(len(nb))
-			}
-		}
-		st.cur[v] = w
+	st.rates.load(g)
+	countCut(g, st.informed, st.counts)
+	for v, c := range st.counts {
+		st.cur[v] = st.rates.weight(g, v, int(c), b2i(st.informed[v]))
 	}
-	st.dense = degSum >= v2DenseDegree*st.n
+	st.dense = g.Volume() >= v2DenseDegree*st.n
 	if st.dense {
 		st.rebuildSnapshot()
 		return
@@ -251,14 +228,11 @@ func (st *asyncStateV2) rebuildSnapshot() {
 	st.changed = st.changed[:0]
 }
 
-// setWeight updates v's live weight and the backend bookkeeping.
-func (st *asyncStateV2) setWeight(v int, w float64) {
-	old := st.cur[v]
-	if w == old {
-		return
-	}
-	st.cur[v] = w
-	st.curTotal += w - old
+// settle carries a change of v's live weight from old to w into the
+// sampling backend: a Fenwick update on sparse graphs, and on dense ones a
+// move of v's share of the surplus component (its mass above the
+// headroomed bound), listing v once it has any.
+func (st *asyncStateV2) settle(v int, old, w float64) {
 	if !st.dense {
 		st.fen.Set(v, w)
 		return
@@ -395,61 +369,50 @@ func (st *asyncStateV2) sampleNewlyInformed(rng *xrand.RNG, total float64) int {
 		return x
 	}
 	// x pushed the rumor to a uniformly random uninformed neighbor.
-	target := rng.Intn(int(st.counts[x]))
-	seen := 0
-	for _, u := range st.g.Neighbors(x) {
-		if !st.informed[u] {
-			if seen == target {
-				return u
-			}
-			seen++
-		}
-	}
-	return -1
+	return pushTarget(st.g.Neighbors(x), st.informed, rng.Intn(int(st.counts[x])))
 }
 
 // inform marks v as informed and updates counts, live weights and the
-// sampling backend; the update pattern mirrors asyncState.inform.
+// sampling backend; the count and weight updates are asyncState.inform's.
 func (st *asyncStateV2) inform(v int) {
 	if st.informed[v] {
 		return
 	}
 	st.informed[v] = true
-	nb := st.g.Neighbors(v)
-	cnt := int32(0)
-	for _, u := range nb {
-		if !st.informed[u] {
-			cnt++
+	g, counts, informed, rates := st.g, st.counts, st.informed, &st.rates
+	nb := g.Neighbors(v)
+	cnt := int32(len(nb)) - counts[v]
+	counts[v] = cnt
+	// set updates u's live weight and the backend bookkeeping. The running
+	// total is carried in a local and stored once; it receives the same
+	// additions in the same order. On a dense graph, a weight that stays
+	// under its headroomed bound on both sides of the change has no surplus
+	// before or after, so the envelope is left alone without computing
+	// either.
+	cur, snap, dense := st.cur, st.alias.weight, st.dense
+	curTotal := st.curTotal
+	set := func(u int, w float64) {
+		old := cur[u]
+		if w == old {
+			return
 		}
-	}
-	st.counts[v] = cnt
-	mode, rate := st.mode, st.rate
-	w := 0.0
-	if cnt != 0 && mode != PullOnly {
-		w = rate * float64(cnt) / float64(len(nb))
-	}
-	st.setWeight(v, w)
-	for _, u := range nb {
-		cu := st.counts[u]
-		inf := st.informed[u]
-		if inf {
-			cu-- // u lost an uninformed neighbor
-		} else {
-			cu++ // u gained an informed neighbor
-		}
-		st.counts[u] = cu
-		var wu float64
-		if cu != 0 {
-			if inf {
-				if mode != PullOnly {
-					wu = rate * float64(cu) / float64(st.g.Degree(u))
-				}
-			} else if mode != PushOnly {
-				wu = rate * float64(cu) / float64(st.g.Degree(u))
+		cur[u] = w
+		curTotal += w - old
+		if dense {
+			if bound := v2Headroom * snap[u]; old <= bound && w <= bound {
+				return
 			}
 		}
-		st.setWeight(u, wu)
+		st.settle(u, old, w)
 	}
+	set(v, rates.weight(g, v, int(cnt), 1))
+	for _, u := range nb {
+		side := b2i(informed[u])
+		cu := counts[u] + int32(1-2*side)
+		counts[u] = cu
+		set(u, rates.weight(g, u, int(cu), side))
+	}
+	st.curTotal = curTotal
 	st.maybeRebuild()
 }
 

@@ -13,14 +13,21 @@ set -eu
 
 date_utc=$(date -u +%Y-%m-%d)
 commit=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
+# A run over uncommitted changes measures code no commit holds; say so.
+if [ "$commit" != unknown ] && ! git diff --quiet HEAD 2>/dev/null; then
+	commit="$commit-dirty"
+fi
 goversion=$(go version | awk '{print $3}')
 # Most recent committed trajectory point: newest date first, and within one
 # date the highest numeric rerun suffix (BENCH_<date>.json < BENCH_<date>.2
-# < BENCH_<date>.3, which plain lexicographic sort gets backwards). Empty
-# files are skipped so an output file pre-created by a shell redirect can
-# never select itself as baseline.
+# < BENCH_<date>.3, which plain lexicographic sort gets backwards). The
+# service-load series (BENCH_SERVICE_*.json) matches the glob too but holds
+# other measurements, and its names sort after every date, so it is
+# skipped. Empty files are skipped so an output file pre-created by a shell
+# redirect can never select itself as baseline.
 prev=$(
 	for f in BENCH_*.json; do
+		case $f in BENCH_SERVICE_*) continue ;; esac
 		[ -s "$f" ] || continue
 		printf '%s\n' "$f"
 	done 2>/dev/null | awk -F. '
@@ -62,10 +69,11 @@ NR == FNR && prevfile != "" {
     if (match(name, /stream=v[0-9]+/))
         stream = substr(name, RSTART + 8, RLENGTH - 8)
     iters = $2
-    ns = ""; bytes = ""; allocs = ""; nsrep = ""
+    ns = ""; bytes = ""; allocs = ""; nsrep = ""; nsev = ""
     for (i = 3; i < NF; i++) {
         if ($(i+1) == "ns/op") ns = $i
         if ($(i+1) == "ns/rep") nsrep = $i
+        if ($(i+1) == "ns/event") nsev = $i
         if ($(i+1) == "B/op") bytes = $i
         if ($(i+1) == "allocs/op") allocs = $i
     }
@@ -76,6 +84,7 @@ NR == FNR && prevfile != "" {
     printf "\n    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s", name, iters, ns
     if (stream != "") printf ", \"stream\": %s", stream
     if (nsrep != "") printf ", \"ns_per_rep\": %s", nsrep
+    if (nsev != "") printf ", \"ns_per_event\": %s", nsev
     if (bytes != "") printf ", \"bytes_per_op\": %s", bytes
     if (allocs != "") printf ", \"allocs_per_op\": %s", allocs
     printf "}"
