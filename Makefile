@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race vet fmt-check bench bench-json bench-smoke bench-service test-equivalence smoke-service smoke-cluster smoke-chaos smoke-sweep serve check clean
+.PHONY: all build test test-short test-race vet fmt-check check-rumorbench bench bench-json bench-smoke bench-service test-equivalence smoke-service smoke-cluster smoke-chaos smoke-sweep serve check clean
 
 # The anchor benchmarks tracked across PRs (see BENCH_*.json and
 # EXPERIMENTS.md): the Monte-Carlo engine fan-out (batch + streaming,
@@ -114,7 +114,14 @@ smoke-chaos:
 smoke-sweep:
 	sh scripts/sweep_smoke.sh
 
-check: build vet fmt-check test
+# check-rumorbench vets and tests the benchmark module. It is its own Go
+# module, so the root `go build ./...` never compiles it, yet it imports
+# internal/*: without this step a change there could break the benchmark
+# with every other gate green.
+check-rumorbench:
+	cd rumorbench && $(GO) vet . && $(GO) test .
+
+check: build vet fmt-check test check-rumorbench
 
 clean:
 	$(GO) clean ./...

@@ -170,7 +170,7 @@ func BenchmarkAsyncCliqueN1000(b *testing.B) {
 	rng := rumor.NewRNG(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rumor.SpreadAsync(net, rumor.AsyncOptions{Start: 0}, rng); err != nil {
+		if _, err := (rumor.AsyncProtocol{Opts: rumor.AsyncOptions{Start: 0}}).Run(net, rng); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -181,7 +181,7 @@ func BenchmarkAsyncExpanderN10000(b *testing.B) {
 	net := rumor.Static(rumor.Expander(10000, 6, rng))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rumor.SpreadAsync(net, rumor.AsyncOptions{Start: 0}, rng); err != nil {
+		if _, err := (rumor.AsyncProtocol{Opts: rumor.AsyncOptions{Start: 0}}).Run(net, rng); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -195,7 +195,7 @@ func BenchmarkAsyncDynamicStarN5000(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := rumor.SpreadAsync(net, rumor.AsyncOptions{Start: net.StartVertex()}, rng); err != nil {
+		if _, err := (rumor.AsyncProtocol{Opts: rumor.AsyncOptions{Start: net.StartVertex()}}).Run(net, rng); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -206,7 +206,7 @@ func BenchmarkSyncCliqueN1000(b *testing.B) {
 	rng := rumor.NewRNG(4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rumor.SpreadSync(net, rumor.SyncOptions{Start: 0}, rng); err != nil {
+		if _, err := (rumor.SyncProtocol{Opts: rumor.SyncOptions{Start: 0}}).Run(net, rng); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -217,7 +217,7 @@ func BenchmarkFloodingTorus64x64(b *testing.B) {
 	rng := rumor.NewRNG(5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rumor.SpreadFlooding(net, rumor.SyncOptions{Start: 0}, rng); err != nil {
+		if _, err := (rumor.FloodingProtocol{Opts: rumor.SyncOptions{Start: 0}}).Run(net, rng); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -232,7 +232,7 @@ func BenchmarkFloodingLargeN(b *testing.B) {
 	rng := rumor.NewRNG(6)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := rumor.SpreadFlooding(net, rumor.SyncOptions{Start: 0}, rng)
+		res, err := (rumor.FloodingProtocol{Opts: rumor.SyncOptions{Start: 0}}).Run(net, rng)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -182,22 +182,6 @@ func GiakkoupisSync(profile ProfileFunc, n int, maxDegreeRatio, factor float64, 
 	return 0, ErrNotReached
 }
 
-// StaticAsync returns the O(log n / Φ) bound of Chierichetti et al. for the
-// push-pull algorithm on a static network with conductance phi, with the
-// given leading constant.
-func StaticAsync(n int, phi, constant float64) (float64, error) {
-	if phi <= 0 {
-		return 0, errors.New("bound: static bound needs positive conductance")
-	}
-	if constant <= 0 {
-		constant = 1
-	}
-	if n < 2 {
-		return 0, nil
-	}
-	return constant * math.Log(float64(n)) / phi, nil
-}
-
 // ConstantProfile returns a ProfileFunc that reports the same profile at
 // every step; convenient for static networks and for constructions whose
 // per-step parameters do not change.

@@ -191,28 +191,6 @@ func TestGiakkoupisSyncCarriesMFactor(t *testing.T) {
 	}
 }
 
-func TestStaticAsync(t *testing.T) {
-	got, err := StaticAsync(100, 0.5, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 2 * math.Log(100) / 0.5
-	if math.Abs(got-want) > 1e-9 {
-		t.Fatalf("StaticAsync = %v, want %v", got, want)
-	}
-	if _, err := StaticAsync(100, 0, 1); err == nil {
-		t.Fatal("zero conductance should error")
-	}
-	if got, _ := StaticAsync(1, 0.5, 1); got != 0 {
-		t.Fatal("n=1 should be 0")
-	}
-	// Default constant.
-	d, err := StaticAsync(100, 0.5, 0)
-	if err != nil || d <= 0 {
-		t.Fatal("default constant should work")
-	}
-}
-
 func TestLemma22Bound(t *testing.T) {
 	// The bound is decreasing in r and equals 1 at r=0.
 	if Lemma22Bound(0) != 1 {

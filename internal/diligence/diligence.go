@@ -126,13 +126,3 @@ func Exact(g *graph.Graph) (float64, error) {
 	}
 	return best, nil
 }
-
-// Bounds returns the universal bounds of the paper, 1/(n-1) <= ρ(G) <= 1,
-// for a connected graph on n >= 2 vertices. These are useful for property
-// tests and for the O(n²) corollary (Remark 1.4).
-func Bounds(n int) (lo, hi float64) {
-	if n < 2 {
-		return 0, 1
-	}
-	return 1 / float64(n-1), 1
-}

@@ -51,10 +51,10 @@ func TestAbsoluteLowerBoundProperty(t *testing.T) {
 	rng := xrand.New(31)
 	for trial := 0; trial < 50; trial++ {
 		g := gen.RandomConnected(2+rng.Intn(30), 0.2, rng)
-		lo, hi := Bounds(g.N())
+		lo := 1 / float64(g.N()-1)
 		got := Absolute(g)
-		if got < lo-1e-12 || got > hi+1e-12 {
-			t.Fatalf("trial %d: absolute diligence %v outside [%v,%v]", trial, got, lo, hi)
+		if got < lo-1e-12 || got > 1+1e-12 {
+			t.Fatalf("trial %d: absolute diligence %v outside [%v,1]", trial, got, lo)
 		}
 	}
 }
@@ -131,9 +131,9 @@ func TestExactWithinUniversalBounds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lo, hi := Bounds(n)
-		if got < lo-1e-12 || got > hi+1e-12 {
-			t.Fatalf("trial %d (n=%d): ρ = %v outside [%v, %v]", trial, n, got, lo, hi)
+		lo := 1 / float64(n-1)
+		if got < lo-1e-12 || got > 1+1e-12 {
+			t.Fatalf("trial %d (n=%d): ρ = %v outside [%v, 1]", trial, n, got, lo)
 		}
 	}
 }
@@ -169,17 +169,6 @@ func TestExactAgainstDirectEnumerationOnPath(t *testing.T) {
 	}
 	if math.Abs(got-0.75) > 1e-12 {
 		t.Fatalf("ρ(P4) = %v, want 0.75", got)
-	}
-}
-
-func TestBounds(t *testing.T) {
-	lo, hi := Bounds(11)
-	if lo != 0.1 || hi != 1 {
-		t.Fatalf("Bounds(11) = (%v,%v), want (0.1,1)", lo, hi)
-	}
-	lo, hi = Bounds(1)
-	if lo != 0 || hi != 1 {
-		t.Fatalf("Bounds(1) = (%v,%v), want (0,1)", lo, hi)
 	}
 }
 

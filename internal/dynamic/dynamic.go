@@ -103,9 +103,6 @@ func (s *Sequence) GraphAt(t int, _ []bool) *graph.Graph {
 	return s.graphs[t]
 }
 
-// Len returns the number of distinct steps in the sequence.
-func (s *Sequence) Len() int { return len(s.graphs) }
-
 // Alternating cycles through a fixed list of graphs with the given period:
 // step t exposes graphs[t mod len(graphs)].
 type Alternating struct {
@@ -186,16 +183,4 @@ func (r *rebuilder) flip() *graph.Graph {
 	r.cur ^= 1
 	r.graphs[r.cur] = r.b.BuildInto(r.graphs[r.cur])
 	return r.graphs[r.cur]
-}
-
-// CountInformed returns the number of true entries; a small helper shared by
-// the adaptive constructions.
-func CountInformed(informed []bool) int {
-	count := 0
-	for _, b := range informed {
-		if b {
-			count++
-		}
-	}
-	return count
 }

@@ -24,8 +24,8 @@ func TestStatic(t *testing.T) {
 func TestSequence(t *testing.T) {
 	g0, g1 := gen.Cycle(5), gen.Clique(5)
 	net := NewSequence([]*graph.Graph{g0, g1})
-	if net.Len() != 2 || net.N() != 5 {
-		t.Fatalf("Len=%d N=%d", net.Len(), net.N())
+	if len(net.graphs) != 2 || net.N() != 5 {
+		t.Fatalf("graphs=%d N=%d", len(net.graphs), net.N())
 	}
 	if net.GraphAt(0, nil) != g0 || net.GraphAt(1, nil) != g1 {
 		t.Fatal("sequence order wrong")
@@ -81,15 +81,6 @@ func TestFuncAdapter(t *testing.T) {
 	f := &Func{NumVertices: 3, At: func(int, []bool) *graph.Graph { return g }}
 	if f.N() != 3 || f.GraphAt(7, nil) != g {
 		t.Fatal("Func adapter broken")
-	}
-}
-
-func TestCountInformed(t *testing.T) {
-	if got := CountInformed([]bool{true, false, true, true}); got != 3 {
-		t.Fatalf("CountInformed = %d, want 3", got)
-	}
-	if got := CountInformed(nil); got != 0 {
-		t.Fatalf("CountInformed(nil) = %d", got)
 	}
 }
 

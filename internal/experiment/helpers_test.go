@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dynamicrumor/internal/dynamic"
+	"dynamicrumor/internal/engine"
 	"dynamicrumor/internal/gen"
 	"dynamicrumor/internal/runner"
 	"dynamicrumor/internal/sim"
@@ -84,7 +85,7 @@ func TestMeasureFlooding(t *testing.T) {
 	const reps = 5
 	cfg := Config{Parallelism: 2}
 	factory := staticFactory(dynamic.NewStatic(gen.Cycle(32)), 0)
-	times, err := measureFlooding(cfg, factory, reps, xrand.New(1), 0)
+	times, err := measure(cfg, factory, reps, xrand.New(1), engine.Scenario{Protocol: engine.ProtocolFlooding})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -315,8 +315,18 @@ func TestExpanderTinyFallsBackToClique(t *testing.T) {
 	}
 }
 
+// buildNearRegular builds the near-regular graph G(A, d1, d2) through
+// AppendNearRegular, the path the near-regular family uses.
+func buildNearRegular(n, baseDegree, specialDegree, special int) (*graph.Graph, error) {
+	b := graph.NewBuilder(n)
+	if err := AppendNearRegular(b, nil, n, baseDegree, specialDegree, special, nil, nil); err != nil {
+		return nil, err
+	}
+	return b.Build(), nil
+}
+
 func TestNearRegular(t *testing.T) {
-	g, err := NearRegular(30, 4, 10, 7)
+	g, err := buildNearRegular(30, 4, 10, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +348,7 @@ func TestNearRegular(t *testing.T) {
 }
 
 func TestNearRegularEqualDegrees(t *testing.T) {
-	g, err := NearRegular(20, 4, 4, 0)
+	g, err := buildNearRegular(20, 4, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +366,7 @@ func TestNearRegularBadParams(t *testing.T) {
 		{10, 4, 6, 20},  // special vertex out of range
 	}
 	for _, c := range cases {
-		if _, err := NearRegular(c.n, c.d1, c.d2, c.s); err == nil {
+		if _, err := buildNearRegular(c.n, c.d1, c.d2, c.s); err == nil {
 			t.Errorf("NearRegular(%v) should have failed", c)
 		}
 	}

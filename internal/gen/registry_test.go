@@ -107,7 +107,10 @@ func TestFamiliesSortedAndNonEmpty(t *testing.T) {
 			t.Fatalf("Families() not sorted: %v", fams)
 		}
 	}
-	if !IsFamily("clique") || IsFamily("no-such-family") {
-		t.Fatal("IsFamily misreports registration")
+	if _, ok := AllowedKeys("clique"); !ok {
+		t.Fatal("clique not registered")
+	}
+	if _, ok := AllowedKeys("no-such-family"); ok {
+		t.Fatal("unknown family reported as registered")
 	}
 }

@@ -209,8 +209,9 @@ func AppendExpander(b *graph.Builder, n, maxDegree int, rng *xrand.RNG, perm *[]
 	}
 }
 
-// NearRegular returns a connected graph on n vertices in which every vertex
-// has degree baseDegree except vertex special which has degree specialDegree.
+// AppendNearRegular emits into b, renumbered through vmap (nil vmap is the
+// identity), a connected graph on n vertices in which every vertex has
+// degree baseDegree except vertex special which has degree specialDegree.
 // This is the graph G(A, d1, d2) of Section 5.1. Both degrees must be even,
 // 2 <= baseDegree < n, baseDegree <= specialDegree < n.
 //
@@ -221,21 +222,8 @@ func AppendExpander(b *graph.Builder, n, maxDegree int, rng *xrand.RNG, perm *[]
 // special that are adjacent to each other via a circulant edge not incident
 // to special, remove {u,w} and add {special,u}, {special,w}. This keeps u and
 // w at degree baseDegree and raises special by 2 per operation.
-func NearRegular(n, baseDegree, specialDegree, special int) (*graph.Graph, error) {
-	b := graph.NewBuilder(n)
-	if err := AppendNearRegular(b, nil, n, baseDegree, specialDegree, special, nil, nil); err != nil {
-		return nil, err
-	}
-	g := b.Build()
-	if g.Degree(special) != specialDegree {
-		return nil, fmt.Errorf("gen: NearRegular produced special degree %d, want %d", g.Degree(special), specialDegree)
-	}
-	return g, nil
-}
-
-// AppendNearRegular emits the edge set of NearRegular(n, baseDegree,
-// specialDegree, special) into b, renumbered through vmap (nil vmap is the
-// identity). removed1 and extraAdj are optional scratch slices of length >= n
+//
+// removed1 and extraAdj are optional scratch slices of length >= n
 // (allocated when nil or too short); their contents are overwritten. The
 // rewiring plan is computed combinatorially over the circulant — every chord
 // candidate is an offset-1 edge, and special's adjacency is circulant

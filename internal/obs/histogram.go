@@ -91,9 +91,6 @@ func NewHistogram(name, help string) *Histogram {
 	return &Histogram{name: name, help: help}
 }
 
-// Name returns the histogram's short name.
-func (h *Histogram) Name() string { return h.name }
-
 // Observe records one duration. Nil-safe: a nil histogram drops the
 // observation, so call sites need no guards.
 func (h *Histogram) Observe(d time.Duration) {
@@ -104,23 +101,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.counts[bucketIndex(v)].Add(1)
 	if v > 0 {
 		h.sum.Add(v)
-	}
-}
-
-// Merge folds a snapshot's counts into the histogram (coordinator-side
-// aggregation of worker distributions). Snapshots from a different layout
-// are ignored rather than misfiled.
-func (h *Histogram) Merge(s Snapshot) {
-	if h == nil || len(s.Counts) != NumBuckets {
-		return
-	}
-	for i, c := range s.Counts {
-		if c != 0 {
-			h.counts[i].Add(c)
-		}
-	}
-	if s.SumNanos > 0 {
-		h.sum.Add(s.SumNanos)
 	}
 }
 

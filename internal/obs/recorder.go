@@ -157,17 +157,3 @@ func (r *Recorder) Start(id, run string) *Trace {
 	}
 	return t
 }
-
-// Lookup finds a retained trace by ID (nil when unknown or evicted).
-func (r *Recorder) Lookup(id string) *Trace {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.traces[id]
-}
-
-// Len reports the retained trace count.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.order)
-}

@@ -85,14 +85,14 @@ func TestRecorderEvictsOldest(t *testing.T) {
 	for i := 1; i <= 5; i++ {
 		rec.Start(fmt.Sprintf("tr%d", i), fmt.Sprintf("j%d", i))
 	}
-	if rec.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", rec.Len())
+	if len(rec.order) != 3 || len(rec.traces) != 3 {
+		t.Fatalf("retained %d ids, %d traces, want 3", len(rec.order), len(rec.traces))
 	}
-	if rec.Lookup("tr1") != nil || rec.Lookup("tr2") != nil {
+	if rec.traces["tr1"] != nil || rec.traces["tr2"] != nil {
 		t.Error("oldest traces not evicted")
 	}
 	for i := 3; i <= 5; i++ {
-		if rec.Lookup(fmt.Sprintf("tr%d", i)) == nil {
+		if rec.traces[fmt.Sprintf("tr%d", i)] == nil {
 			t.Errorf("tr%d evicted, want retained", i)
 		}
 	}

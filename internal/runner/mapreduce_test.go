@@ -134,9 +134,9 @@ func TestMapReduceJobError(t *testing.T) {
 // is returned unwrapped.
 func TestMapReduceReducerError(t *testing.T) {
 	stop := errors.New("stop")
-	for _, par := range []int{1, 6} {
+	run := func(opts Options) (int64, error) {
 		var ran atomic.Int64
-		err := MapReduce(context.Background(), par, 100, xrand.New(4), func() struct{} { return struct{}{} },
+		err := MapReduceOpts(context.Background(), opts, 100, xrand.New(4), func() struct{} { return struct{}{} },
 			func(rep int, _ *xrand.RNG, _ struct{}) (int, error) {
 				ran.Add(1)
 				return rep, nil
@@ -147,13 +147,27 @@ func TestMapReduceReducerError(t *testing.T) {
 				}
 				return nil
 			})
+		return ran.Load(), err
+	}
+	for _, par := range []int{1, 6} {
+		// Per-repetition claiming: workers stop claiming after the abort, so
+		// with par in-flight slots at most a handful of extra jobs ran.
+		n, err := run(Options{Parallelism: par, ChunkSize: 1})
 		if !errors.Is(err, stop) {
-			t.Fatalf("parallelism %d: got %v, want the reducer error", par, err)
+			t.Fatalf("parallelism %d, chunk 1: got %v, want the reducer error", par, err)
 		}
-		// Workers stop claiming after the abort; with par in-flight slots at
-		// most a handful of extra jobs ran.
-		if n := ran.Load(); n > 10+int64(par)+int64(par) {
-			t.Fatalf("parallelism %d: %d jobs ran after an abort at rep 10", par, n)
+		if n > 10+int64(par)+int64(par) {
+			t.Fatalf("parallelism %d, chunk 1: %d jobs ran after an abort at rep 10", par, n)
+		}
+		// Automatic chunks: every chunk through rep 10 ran whole, and each
+		// other worker may have finished one more chunk before the abort.
+		c := int64(ChunkFor(0, 100, par))
+		n, err = run(Options{Parallelism: par})
+		if !errors.Is(err, stop) {
+			t.Fatalf("parallelism %d, chunk %d: got %v, want the reducer error", par, c, err)
+		}
+		if bound := (11+c-1)/c*c + int64(par-1)*c; n > bound {
+			t.Fatalf("parallelism %d, chunk %d: %d jobs ran after an abort at rep 10, want <= %d", par, c, n, bound)
 		}
 	}
 }

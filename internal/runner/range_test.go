@@ -97,14 +97,14 @@ func TestMapReduceRangeMatchesFullRun(t *testing.T) {
 // TestMapReduceRangeErrors: negative starts are rejected; a failing
 // repetition reports its global index.
 func TestMapReduceRangeErrors(t *testing.T) {
-	err := MapReduceRange(context.Background(), 2, -1, 5, xrand.New(1), noLocal, rangeJob,
+	err := MapReduceRangeOpts(context.Background(), Options{Parallelism: 2}, -1, 5, xrand.New(1), noLocal, rangeJob,
 		func(int, uint64) error { return nil })
 	if err == nil {
 		t.Fatal("negative start accepted")
 	}
 
 	boom := errors.New("boom")
-	err = MapReduceRange(context.Background(), 2, 10, 5, xrand.New(1), noLocal,
+	err = MapReduceRangeOpts(context.Background(), Options{Parallelism: 2}, 10, 5, xrand.New(1), noLocal,
 		func(rep int, rng *xrand.RNG, _ struct{}) (uint64, error) {
 			if rep == 12 {
 				return 0, boom

@@ -2,16 +2,16 @@
 // of worker goroutines.
 //
 // Every repetition receives its own deterministic RNG stream, derived from a
-// single base generator by splitting serially in repetition order (see
-// Streams). Because a repetition never touches the base generator — only its
-// private stream — the results are bit-identical for any worker count and any
-// scheduling order, and identical to what the historical serial loops
-// produced. This is the determinism contract documented in DESIGN.md:
-// parallelism is a pure throughput knob, never an output knob.
+// single base generator by splitting serially in repetition order: stream i
+// is base.Split(i+1). Because a repetition never touches the base generator —
+// only its private stream — the results are bit-identical for any worker
+// count and any scheduling order, and identical to what the historical
+// serial loops produced. This is the determinism contract documented in
+// DESIGN.md: parallelism is a pure throughput knob, never an output knob.
 //
 // Streams are derived lazily, in claim order, under a lock: stream i is
-// seeded from the i-th Uint64 draw of the base generator, exactly the value
-// Streams would have pre-derived, but without materializing O(reps) RNGs.
+// seeded from the i-th Uint64 draw of the base generator, without
+// materializing O(reps) RNGs.
 // Workers receive their stream in a per-worker reusable RNG value, so the
 // fan-out itself allocates nothing per repetition.
 //
@@ -114,25 +114,13 @@ func (e *RepError) Error() string { return fmt.Sprintf("runner: rep %d: %v", e.R
 // Unwrap returns the underlying repetition failure.
 func (e *RepError) Unwrap() error { return e.Err }
 
-// Streams derives reps private RNG streams from base by splitting serially in
-// repetition order: stream i is base.Split(i+1). This matches the labeling
-// convention of the historical serial loops, so parallel runs reproduce the
-// exact bit patterns of serial runs. The base generator is advanced reps
-// times and must not be used concurrently with this call.
-func Streams(base *xrand.RNG, reps int) []*xrand.RNG {
-	streams := make([]*xrand.RNG, reps)
-	for i := range streams {
-		streams[i] = base.Split(uint64(i) + 1)
-	}
-	return streams
-}
-
 // streamSource hands out (repetition, stream) pairs one at a time. Claims are
 // serialized under the mutex in increasing repetition order, so the i-th
-// Uint64 drawn from the base generator always seeds stream i — the exact
-// derivation Streams performs eagerly. It stops handing out repetitions once
-// aborted or once the run's context is cancelled; because claims are
-// sequential, the set of claimed repetitions is always a prefix [0, k).
+// Uint64 drawn from the base generator always seeds stream i, exactly as
+// base.Split(i+1) in repetition order would. It stops handing out
+// repetitions once aborted or once the run's context is cancelled; because
+// claims are sequential, the set of claimed repetitions is always a prefix
+// [0, k).
 type streamSource struct {
 	ctx  context.Context
 	mu   sync.Mutex
@@ -252,8 +240,8 @@ type LocalJob[T, L any] func(rep int, rng *xrand.RNG, local L) (T, error)
 // workers (<= 0 selects GOMAXPROCS) and returns the results in repetition
 // order.
 //
-// RNG streams are derived from base exactly as Streams derives them, so the
-// output is bit-identical regardless of parallelism. If one or more
+// RNG streams are derived from base as described in the package comment, so
+// the output is bit-identical regardless of parallelism. If one or more
 // repetitions fail, Map completes the remaining repetitions and returns the
 // error of the lowest-indexed failure wrapped in a *RepError — again
 // independent of scheduling order.
@@ -408,7 +396,7 @@ func MapReduceOpts[T, L any](ctx context.Context, opts Options, reps int, base *
 	return mapReduceRange(ctx, opts, 0, reps, base, newLocal, fn, reduce)
 }
 
-// MapReduceRange executes the repetition range [start, start+count) of a
+// MapReduceRangeOpts executes the repetition range [start, start+count) of a
 // larger deterministic sequence: fn and reduce receive global repetition
 // indices, and every repetition gets exactly the RNG stream it would have
 // received in a full MapReduce over the whole sequence — which is what lets a
@@ -420,13 +408,8 @@ func MapReduceOpts[T, L any](ctx context.Context, opts Options, reps int, base *
 // it past the start earlier repetitions first (one Uint64 draw each, the
 // exact prefix a full run would have consumed) and then claims the range, so
 // base ends advanced start+count draws. Within the range the semantics are
-// MapReduce's: strict rep-order reduction, deterministic lowest-rep errors,
+// those of MapReduceOpts: strict rep-order reduction, deterministic lowest-rep errors,
 // cancellation at chunk boundaries.
-func MapReduceRange[T, L any](ctx context.Context, parallelism, start, count int, base *xrand.RNG, newLocal func() L, fn LocalJob[T, L], reduce Reducer[T]) error {
-	return MapReduceRangeOpts(ctx, Options{Parallelism: parallelism}, start, count, base, newLocal, fn, reduce)
-}
-
-// MapReduceRangeOpts is MapReduceRange with full Options control.
 func MapReduceRangeOpts[T, L any](ctx context.Context, opts Options, start, count int, base *xrand.RNG, newLocal func() L, fn LocalJob[T, L], reduce Reducer[T]) error {
 	if start < 0 {
 		return fmt.Errorf("runner: negative range start %d", start)

@@ -10,6 +10,17 @@ import (
 	"dynamicrumor/internal/xrand"
 )
 
+// Streams is the eager reference for the runner's lazy stream derivation: it
+// derives reps private RNG streams from base by splitting serially in
+// repetition order, so stream i is base.Split(i+1).
+func Streams(base *xrand.RNG, reps int) []*xrand.RNG {
+	streams := make([]*xrand.RNG, reps)
+	for i := range streams {
+		streams[i] = base.Split(uint64(i) + 1)
+	}
+	return streams
+}
+
 // drain consumes a deterministic amount of randomness from a stream and
 // returns a digest of it, standing in for a simulation repetition.
 func drain(rep int, rng *xrand.RNG) (uint64, error) {

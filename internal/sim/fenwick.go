@@ -9,13 +9,6 @@ type fenwick struct {
 	weight []float64
 }
 
-func newFenwick(n int) *fenwick {
-	return &fenwick{tree: make([]float64, n+1), weight: make([]float64, n)}
-}
-
-// Len returns the number of indices.
-func (f *fenwick) Len() int { return len(f.weight) }
-
 // Set assigns weight w to index i.
 func (f *fenwick) Set(i int, w float64) {
 	if w < 0 {
@@ -43,9 +36,6 @@ func (f *fenwick) Add(i int, w float64) {
 		f.tree[j] += w
 	}
 }
-
-// Get returns the weight of index i.
-func (f *fenwick) Get(i int) float64 { return f.weight[i] }
 
 // Total returns the sum of all weights.
 func (f *fenwick) Total() float64 {
@@ -112,8 +102,8 @@ func (f *fenwick) Reset() {
 }
 
 // Resize re-targets the tree to n indices with all weights zero, reusing the
-// backing arrays when their capacity suffices. It is the recycling form of
-// newFenwick used by the pooled simulator scratch.
+// backing arrays when their capacity suffices; the pooled simulator scratch
+// builds every tree this way.
 func (f *fenwick) Resize(n int) {
 	if cap(f.tree) >= n+1 && cap(f.weight) >= n {
 		f.tree = f.tree[:n+1]

@@ -7,6 +7,17 @@ import (
 	"dynamicrumor/internal/xrand"
 )
 
+// newFenwick returns an empty tree over n indices.
+func newFenwick(n int) *fenwick {
+	return &fenwick{tree: make([]float64, n+1), weight: make([]float64, n)}
+}
+
+// Len returns the number of indices.
+func (f *fenwick) Len() int { return len(f.weight) }
+
+// Get returns the weight of index i.
+func (f *fenwick) Get(i int) float64 { return f.weight[i] }
+
 func TestFenwickTotalAndGet(t *testing.T) {
 	f := newFenwick(5)
 	f.Set(0, 1)

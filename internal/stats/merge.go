@@ -39,9 +39,6 @@ func NewMerger(s *Stream) *Merger {
 // observation below it has been folded into the stream.
 func (m *Merger) Next() int { return m.next }
 
-// Buffered returns the number of chunks held ahead of the merge frontier.
-func (m *Merger) Buffered() int { return len(m.pending) }
-
 // Add accepts one chunk, folds it (and any buffered successors it unblocks)
 // into the stream if it sits exactly at the frontier, and buffers it
 // otherwise. Duplicate, overlapping or behind-the-frontier chunks are

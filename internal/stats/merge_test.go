@@ -6,6 +6,9 @@ import (
 	"dynamicrumor/internal/xrand"
 )
 
+// Buffered returns the number of chunks held ahead of the merge frontier.
+func (m *Merger) Buffered() int { return len(m.pending) }
+
 // serialStream folds xs into a fresh Stream with the engine's standard
 // quantiles, the reference every merge must match bit for bit.
 func serialStream(xs []float64) *Stream {

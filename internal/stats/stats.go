@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolkit used by the
-// experiment harness: summary statistics, quantiles, confidence intervals,
-// harmonic numbers, histograms and growth-exponent fitting.
+// experiment harness and the engine: moments, quantiles, growth-exponent
+// fitting, and streaming summaries that merge exactly across shards.
 package stats
 
 import (
@@ -11,43 +11,6 @@ import (
 
 // ErrEmpty is returned by functions that need at least one sample.
 var ErrEmpty = errors.New("stats: empty sample")
-
-// Summary holds the usual summary statistics of a sample.
-type Summary struct {
-	N        int
-	Mean     float64
-	Variance float64 // unbiased (n-1) sample variance
-	StdDev   float64
-	Min      float64
-	Max      float64
-	Median   float64
-	Q25      float64
-	Q75      float64
-}
-
-// Summarize computes summary statistics for the sample.
-func Summarize(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, ErrEmpty
-	}
-	s := Summary{N: len(xs)}
-	s.Mean = Mean(xs)
-	s.Variance = Variance(xs)
-	s.StdDev = math.Sqrt(s.Variance)
-	s.Min, s.Max = xs[0], xs[0]
-	for _, x := range xs {
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Median = Quantile(xs, 0.5)
-	s.Q25 = Quantile(xs, 0.25)
-	s.Q75 = Quantile(xs, 0.75)
-	return s, nil
-}
 
 // Mean returns the arithmetic mean (0 for an empty sample).
 func Mean(xs []float64) float64 {
@@ -75,9 +38,6 @@ func Variance(xs []float64) float64 {
 	return sum / float64(len(xs)-1)
 }
 
-// StdDev returns the sample standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // Quantile returns the q-th quantile (0 <= q <= 1) using linear interpolation
 // between order statistics. It returns 0 for an empty sample.
 func Quantile(xs []float64, q float64) float64 {
@@ -100,36 +60,6 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// MeanCI returns the mean and the half-width of an approximate 95% confidence
-// interval (normal approximation, 1.96 standard errors).
-func MeanCI(xs []float64) (mean, halfWidth float64) {
-	mean = Mean(xs)
-	if len(xs) < 2 {
-		return mean, 0
-	}
-	se := StdDev(xs) / math.Sqrt(float64(len(xs)))
-	return mean, 1.96 * se
-}
-
-// Harmonic returns the k-th harmonic number H_k = 1 + 1/2 + ... + 1/k
-// (0 for k <= 0).
-func Harmonic(k int) float64 {
-	if k <= 0 {
-		return 0
-	}
-	// Direct summation for small k, asymptotic expansion for large k.
-	if k < 1024 {
-		h := 0.0
-		for i := 1; i <= k; i++ {
-			h += 1 / float64(i)
-		}
-		return h
-	}
-	const gamma = 0.5772156649015329
-	kf := float64(k)
-	return math.Log(kf) + gamma + 1/(2*kf) - 1/(12*kf*kf)
 }
 
 // EmpiricalCDF returns the fraction of samples that are <= x.
@@ -219,55 +149,4 @@ func GrowthExponent(x, y []float64) (alpha float64, err error) {
 	}
 	_, alpha, err = LinearFit(lx, ly)
 	return alpha, err
-}
-
-// Histogram is a fixed-width-bin histogram over [Min, Max].
-type Histogram struct {
-	Min, Max float64
-	Counts   []int
-	Under    int // samples below Min
-	Over     int // samples above Max
-}
-
-// NewHistogram creates a histogram with the given number of bins over
-// [min, max]. It panics if bins <= 0 or max <= min.
-func NewHistogram(min, max float64, bins int) *Histogram {
-	if bins <= 0 {
-		panic("stats: NewHistogram with non-positive bins")
-	}
-	if max <= min {
-		panic("stats: NewHistogram with max <= min")
-	}
-	return &Histogram{Min: min, Max: max, Counts: make([]int, bins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Min:
-		h.Under++
-	case x > h.Max:
-		h.Over++
-	default:
-		bin := int((x - h.Min) / (h.Max - h.Min) * float64(len(h.Counts)))
-		if bin == len(h.Counts) {
-			bin--
-		}
-		h.Counts[bin]++
-	}
-}
-
-// Total returns the number of observations recorded, including out-of-range.
-func (h *Histogram) Total() int {
-	total := h.Under + h.Over
-	for _, c := range h.Counts {
-		total += c
-	}
-	return total
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	width := (h.Max - h.Min) / float64(len(h.Counts))
-	return h.Min + (float64(i)+0.5)*width
 }

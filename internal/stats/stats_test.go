@@ -96,79 +96,6 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s, err := Summarize([]float64{1, 2, 3, 4, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.Median != 3 {
-		t.Fatalf("unexpected summary %+v", s)
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	if _, err := Summarize(nil); err != ErrEmpty {
-		t.Fatalf("Summarize(nil) error = %v, want ErrEmpty", err)
-	}
-}
-
-func TestMeanCIShrinksWithN(t *testing.T) {
-	small := make([]float64, 10)
-	large := make([]float64, 1000)
-	for i := range small {
-		small[i] = float64(i % 2)
-	}
-	for i := range large {
-		large[i] = float64(i % 2)
-	}
-	_, hwSmall := MeanCI(small)
-	_, hwLarge := MeanCI(large)
-	if hwLarge >= hwSmall {
-		t.Fatalf("CI half-width did not shrink: small=%v large=%v", hwSmall, hwLarge)
-	}
-}
-
-func TestMeanCISingle(t *testing.T) {
-	m, hw := MeanCI([]float64{7})
-	if m != 7 || hw != 0 {
-		t.Fatalf("MeanCI single = (%v,%v)", m, hw)
-	}
-}
-
-func TestHarmonicSmall(t *testing.T) {
-	cases := []struct {
-		k    int
-		want float64
-	}{
-		{0, 0}, {1, 1}, {2, 1.5}, {3, 1.5 + 1.0/3}, {10, 2.9289682539682538},
-	}
-	for _, c := range cases {
-		if got := Harmonic(c.k); !almostEqual(got, c.want, 1e-9) {
-			t.Errorf("Harmonic(%d) = %v, want %v", c.k, got, c.want)
-		}
-	}
-}
-
-func TestHarmonicLargeMatchesAsymptotic(t *testing.T) {
-	// Compare the asymptotic branch against direct summation at the cutover.
-	direct := 0.0
-	for i := 1; i <= 5000; i++ {
-		direct += 1 / float64(i)
-	}
-	if got := Harmonic(5000); !almostEqual(got, direct, 1e-6) {
-		t.Fatalf("Harmonic(5000) = %v, want %v", got, direct)
-	}
-}
-
-func TestHarmonicMonotoneProperty(t *testing.T) {
-	if err := quick.Check(func(raw uint16) bool {
-		k := int(raw % 3000)
-		return Harmonic(k+1) > Harmonic(k)
-	}, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestEmpiricalCDF(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	if got := EmpiricalCDF(xs, 2.5); got != 0.5 {
@@ -264,50 +191,5 @@ func TestGrowthExponentSkipsNonPositive(t *testing.T) {
 	}
 	if !almostEqual(alpha, 1, 1e-9) {
 		t.Fatalf("GrowthExponent = %v, want 1", alpha)
-	}
-}
-
-func TestHistogramBasic(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1, 3, 5, 9, 10, 11} {
-		h.Add(x)
-	}
-	if h.Under != 1 || h.Over != 1 {
-		t.Fatalf("under/over = %d/%d, want 1/1", h.Under, h.Over)
-	}
-	if h.Total() != 8 {
-		t.Fatalf("Total = %d, want 8", h.Total())
-	}
-	if h.Counts[0] != 2 { // 0 and 1
-		t.Fatalf("bin 0 = %d, want 2", h.Counts[0])
-	}
-	if h.Counts[4] != 2 { // 9 and 10 (max falls in last bin)
-		t.Fatalf("bin 4 = %d, want 2", h.Counts[4])
-	}
-}
-
-func TestHistogramBinCenter(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	if got := h.BinCenter(0); got != 1 {
-		t.Fatalf("BinCenter(0) = %v, want 1", got)
-	}
-	if got := h.BinCenter(4); got != 9 {
-		t.Fatalf("BinCenter(4) = %v, want 9", got)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewHistogram with bad bins did not panic")
-		}
-	}()
-	NewHistogram(0, 1, 0)
-}
-
-func TestStdDevMatchesVariance(t *testing.T) {
-	xs := []float64{1, 5, 2, 8, 3}
-	if got, want := StdDev(xs), math.Sqrt(Variance(xs)); got != want {
-		t.Fatalf("StdDev = %v, want %v", got, want)
 	}
 }

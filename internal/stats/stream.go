@@ -88,12 +88,6 @@ func NewP2Quantile(q float64) *P2Quantile {
 	return e
 }
 
-// Quantile returns the quantile being estimated.
-func (e *P2Quantile) Quantile() float64 { return e.p }
-
-// N returns the number of observations.
-func (e *P2Quantile) N() int { return e.n }
-
 // Add records one observation.
 func (e *P2Quantile) Add(x float64) {
 	if e.n < 5 {
