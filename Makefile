@@ -28,8 +28,11 @@ test:
 test-short:
 	$(GO) test -short ./...
 
+# test-race also covers the benchmark module: it drives the service
+# in-process, and the root ./... pattern never reaches it.
 test-race:
 	$(GO) test -race -short ./...
+	cd rumorbench && $(GO) test -race -short .
 
 vet:
 	$(GO) vet ./...

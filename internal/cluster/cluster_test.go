@@ -454,9 +454,8 @@ func TestClusterTraceStitching(t *testing.T) {
 	stop := startWorkers(t, ts.URL, 2)
 	defer stop()
 
-	rec := obs.NewRecorder(0)
 	run := testRun(t, 48, 100, 42)
-	run.Trace = rec.Start("tr-stitch", "jstitch")
+	run.Trace = obs.NewTrace("tr-stitch", "jstitch")
 	if _, err := coord.Run(context.Background(), run); err != nil {
 		t.Fatalf("cluster run: %v", err)
 	}

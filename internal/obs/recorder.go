@@ -8,10 +8,9 @@ import (
 
 // The flight recorder: every run gets a Trace at submission, phases append
 // Spans as they happen, and GET /v1/runs/{id}/trace replays the timeline.
-// Both dimensions are bounded — the recorder retains the newest traces up to
-// its capacity (FIFO eviction of the oldest), and a trace caps its span
-// count, counting overflow instead of growing — so a long-lived daemon's
-// trace memory is O(capacity · maxSpans) no matter how many runs it serves.
+// A trace lives on its run's record and is forgotten with it, so the run
+// history bound also bounds trace memory; a trace caps its own span count,
+// counting overflow instead of growing.
 
 // maxSpansPerTrace bounds one trace's timeline. A plain run records a
 // handful of spans; a large cluster run records a few per shard, so 1024
@@ -40,6 +39,11 @@ type Trace struct {
 	run     string
 	spans   []Span
 	dropped int
+}
+
+// NewTrace opens an empty timeline for a run.
+func NewTrace(id, run string) *Trace {
+	return &Trace{id: id, run: run}
 }
 
 // ID returns the trace identifier ("" for a nil trace).
@@ -123,37 +127,12 @@ func (t *Trace) View() TraceView {
 	return v
 }
 
-// Recorder is the bounded trace store.
-type Recorder struct {
-	mu       sync.Mutex
-	capacity int
-	traces   map[string]*Trace
-	order    []string // insertion order, oldest first
-}
+// Recorder is a trace factory that keeps no traces. It remains only because
+// the rumorbench benchmark module calls NewRecorder and Start; call NewTrace.
+type Recorder struct{}
 
-// NewRecorder returns a recorder retaining up to capacity traces
-// (<= 0 selects 512).
-func NewRecorder(capacity int) *Recorder {
-	if capacity <= 0 {
-		capacity = 512
-	}
-	return &Recorder{capacity: capacity, traces: make(map[string]*Trace)}
-}
+// NewRecorder returns a Recorder; capacity is ignored.
+func NewRecorder(capacity int) *Recorder { return &Recorder{} }
 
-// Start registers a new trace for a run, evicting the oldest beyond
-// capacity. Holders of an evicted *Trace keep using it safely — eviction
-// only drops the recorder's own reference.
-func (r *Recorder) Start(id, run string) *Trace {
-	t := &Trace{id: id, run: run}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.traces[id]; !ok {
-		r.order = append(r.order, id)
-	}
-	r.traces[id] = t
-	for len(r.order) > r.capacity {
-		delete(r.traces, r.order[0])
-		r.order = r.order[1:]
-	}
-	return t
-}
+// Start returns NewTrace(id, run).
+func (*Recorder) Start(id, run string) *Trace { return NewTrace(id, run) }

@@ -9,8 +9,7 @@ import (
 
 func TestTraceViewSortsDeterministically(t *testing.T) {
 	base := time.Date(2026, 7, 28, 12, 0, 0, 0, time.UTC)
-	rec := NewRecorder(4)
-	tr := rec.Start("tr1", "j1")
+	tr := NewTrace("tr1", "j1")
 
 	// Append shard spans from concurrent goroutines in racing order; the
 	// rendered view must come out identical to the sequential ordering.
@@ -67,7 +66,7 @@ func TestTraceViewSortsDeterministically(t *testing.T) {
 }
 
 func TestTraceSpanCap(t *testing.T) {
-	tr := NewRecorder(1).Start("tr1", "j1")
+	tr := NewTrace("tr1", "j1")
 	for i := 0; i < maxSpansPerTrace+10; i++ {
 		tr.Add(Span{Name: "s"})
 	}
@@ -77,33 +76,6 @@ func TestTraceSpanCap(t *testing.T) {
 	}
 	if v.DroppedSpans != 10 {
 		t.Errorf("dropped = %d, want 10", v.DroppedSpans)
-	}
-}
-
-func TestRecorderEvictsOldest(t *testing.T) {
-	rec := NewRecorder(3)
-	for i := 1; i <= 5; i++ {
-		rec.Start(fmt.Sprintf("tr%d", i), fmt.Sprintf("j%d", i))
-	}
-	if len(rec.order) != 3 || len(rec.traces) != 3 {
-		t.Fatalf("retained %d ids, %d traces, want 3", len(rec.order), len(rec.traces))
-	}
-	if rec.traces["tr1"] != nil || rec.traces["tr2"] != nil {
-		t.Error("oldest traces not evicted")
-	}
-	for i := 3; i <= 5; i++ {
-		if rec.traces[fmt.Sprintf("tr%d", i)] == nil {
-			t.Errorf("tr%d evicted, want retained", i)
-		}
-	}
-	// An evicted trace held elsewhere keeps accepting spans.
-	old := rec.Start("a", "j")
-	for i := 0; i < 10; i++ {
-		rec.Start(fmt.Sprintf("b%d", i), "j")
-	}
-	old.Add(Span{Name: "late"})
-	if got := len(old.View().Spans); got != 1 {
-		t.Errorf("evicted trace spans = %d, want 1", got)
 	}
 }
 

@@ -95,7 +95,10 @@ func clientKey(r *http.Request) string {
 	return r.RemoteAddr
 }
 
-func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// readRequest reads a submission body and strictly decodes it into v. On
+// failure it writes the error response — 413 for a body over maxBodyBytes,
+// 400 for anything malformed — and returns false.
+func readRequest(w http.ResponseWriter, r *http.Request, v any) bool {
 	// MaxBytesReader (rather than a bare LimitReader) also closes the
 	// connection after an oversized body, so a client cannot keep streaming
 	// into a request that is already refused.
@@ -105,34 +108,56 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if errors.As(err, &tooLarge) {
 			writeError(w, http.StatusRequestEntityTooLarge,
 				fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit))
-			return
+			return false
 		}
 		writeError(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
-		return
+		return false
 	}
-	var req SubmitRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
+	if err := decodeStrict(body, v, "request"); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return false
+	}
+	return true
+}
+
+// decodeStrict decodes one JSON document of the named kind, rejecting
+// unknown fields and trailing content — the same fail-loudly stance
+// engine.Parse takes: trailing content is a malformed edit, not something
+// to drop.
+func decodeStrict(data []byte, v any, what string) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-		return
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("decode %s: %w", what, err)
 	}
-	// One request per document, the same fail-loudly stance engine.Parse
-	// takes: trailing content is a malformed edit, not something to drop.
 	if dec.More() {
-		writeError(w, http.StatusBadRequest, errors.New("trailing content after the request object"))
+		return fmt.Errorf("trailing content after the %s object", what)
+	}
+	return nil
+}
+
+// checkReps bounds a submission's repetition count.
+func (s *Service) checkReps(reps int) error {
+	if reps < 1 {
+		return fmt.Errorf(`"reps" must be >= 1, got %d`, reps)
+	}
+	if reps > s.maxReps {
+		return fmt.Errorf(`"reps" %d exceeds the limit of %d`, reps, s.maxReps)
+	}
+	return nil
+}
+
+func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	var req SubmitRequest
+	if !readRequest(w, r, &req) {
 		return
 	}
 	if len(req.Scenario) == 0 {
 		writeError(w, http.StatusBadRequest, errors.New(`"scenario" is required`))
 		return
 	}
-	if req.Reps < 1 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf(`"reps" must be >= 1, got %d`, req.Reps))
-		return
-	}
-	if req.Reps > s.maxReps {
-		writeError(w, http.StatusBadRequest, fmt.Errorf(`"reps" %d exceeds the limit of %d`, req.Reps, s.maxReps))
+	if err := s.checkReps(req.Reps); err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	sc, err := engine.Parse(req.Scenario)
@@ -140,22 +165,12 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	// The service never records traces; strip the flag so the canonical
-	// encoding — and therefore the cache key — ignores it.
-	sc.Trace = false
-	// Apply the configured default stream discipline to async scenarios that
-	// do not pin one, before canonicalization: the cache key must reflect
-	// the discipline that actually runs, and scenarios pinning an explicit
-	// version keep it.
-	if s.defaultStream != 0 && sc.Stream == 0 && sc.Protocol.Normalize() == engine.ProtocolAsync {
-		sc.Stream = s.defaultStream
-	}
-	canonical, err := engine.Canonical(sc)
+	run, err := canonicalRun(sc, req.Seed, req.Reps, s.defaultStream)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	view, err := s.submit(sc, canonical, req.Reps, req.Seed, clientKey(r))
+	view, err := s.submit(run, req.Reps, clientKey(r))
 	if err != nil {
 		writeSubmitError(w, err)
 		return
@@ -263,34 +278,12 @@ func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
-		return
-	}
 	var req SweepRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if !readRequest(w, r, &req) {
 		return
 	}
-	if dec.More() {
-		writeError(w, http.StatusBadRequest, errors.New("trailing content after the request object"))
-		return
-	}
-	if req.Reps < 1 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf(`"reps" must be >= 1, got %d`, req.Reps))
-		return
-	}
-	if req.Reps > s.maxReps {
-		writeError(w, http.StatusBadRequest, fmt.Errorf(`"reps" %d exceeds the limit of %d`, req.Reps, s.maxReps))
+	if err := s.checkReps(req.Reps); err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	cells, err := planSweep(req, s.defaultStream)

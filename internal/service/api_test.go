@@ -366,21 +366,24 @@ func TestSubmitValidation(t *testing.T) {
 	cases := []struct {
 		name, body string
 		status     int
+		path       string
 	}{
-		{"empty body", ``, http.StatusBadRequest},
-		{"not json", `{`, http.StatusBadRequest},
-		{"unknown envelope field", `{"scenario":{"network":{"family":"clique","params":{"n":8}}},"reps":1,"bogus":1}`, http.StatusBadRequest},
-		{"trailing content", `{"scenario":{"network":{"family":"clique","params":{"n":8}}},"reps":1}{"reps":2}`, http.StatusBadRequest},
-		{"missing scenario", `{"reps":4}`, http.StatusBadRequest},
-		{"missing reps", `{"scenario":{"network":{"family":"clique","params":{"n":8}}}}`, http.StatusBadRequest},
-		{"negative reps", `{"scenario":{"network":{"family":"clique","params":{"n":8}}},"reps":-1}`, http.StatusBadRequest},
-		{"unknown scenario field", `{"scenario":{"network":{"family":"clique","params":{"n":8}},"turbo":9},"reps":1}`, http.StatusBadRequest},
-		{"unknown family", `{"scenario":{"network":{"family":"warp","params":{"n":8}}},"reps":1}`, http.StatusBadRequest},
-		{"unknown family param", `{"scenario":{"network":{"family":"clique","params":{"n":8,"w":1}}},"reps":1}`, http.StatusBadRequest},
+		{"empty body", ``, http.StatusBadRequest, "/v1/runs"},
+		{"not json", `{`, http.StatusBadRequest, "/v1/runs"},
+		{"unknown envelope field", `{"scenario":{"network":{"family":"clique","params":{"n":8}}},"reps":1,"bogus":1}`, http.StatusBadRequest, "/v1/runs"},
+		{"trailing content", `{"scenario":{"network":{"family":"clique","params":{"n":8}}},"reps":1}{"reps":2}`, http.StatusBadRequest, "/v1/runs"},
+		{"missing scenario", `{"reps":4}`, http.StatusBadRequest, "/v1/runs"},
+		{"missing reps", `{"scenario":{"network":{"family":"clique","params":{"n":8}}}}`, http.StatusBadRequest, "/v1/runs"},
+		{"negative reps", `{"scenario":{"network":{"family":"clique","params":{"n":8}}},"reps":-1}`, http.StatusBadRequest, "/v1/runs"},
+		{"unknown scenario field", `{"scenario":{"network":{"family":"clique","params":{"n":8}},"turbo":9},"reps":1}`, http.StatusBadRequest, "/v1/runs"},
+		{"unknown family", `{"scenario":{"network":{"family":"warp","params":{"n":8}}},"reps":1}`, http.StatusBadRequest, "/v1/runs"},
+		{"unknown family param", `{"scenario":{"network":{"family":"clique","params":{"n":8,"w":1}}},"reps":1}`, http.StatusBadRequest, "/v1/runs"},
+		{"sweep trailing content", `{"sweep":{"family":"clique","n":[8]},"reps":1}{"reps":2}`, http.StatusBadRequest, "/v1/sweeps"},
+		{"sweep unknown base field", `{"sweep":{"family":"clique","n":[8],"base":{"turbo":9}},"reps":1}`, http.StatusBadRequest, "/v1/sweeps"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			status, body := do(t, http.MethodPost, ts.URL+"/v1/runs", c.body)
+			status, body := do(t, http.MethodPost, ts.URL+c.path, c.body)
 			if status != c.status {
 				t.Fatalf("got %d (%s), want %d", status, body, c.status)
 			}

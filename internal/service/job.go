@@ -79,7 +79,8 @@ type job struct {
 
 	// trace is the job's flight-recorder timeline (see internal/obs): phase
 	// spans from submission to settlement, plus per-shard spans in cluster
-	// mode. Never nil after newJobLocked / recovery.
+	// mode. It lives and is pruned with the job record. Never nil after
+	// newJobLocked.
 	trace *obs.Trace
 
 	workers         int
@@ -112,6 +113,38 @@ func runKey(canonical []byte, seed uint64, reps int) string {
 	binary.LittleEndian.PutUint64(tail[9:17], uint64(reps))
 	h.Write(tail[:])
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// runSpec is one validated run as admission sees it: the scenario, its
+// canonical encoding, the seed and the cache key. Sweep cells also carry the
+// planner's grid-point label.
+type runSpec struct {
+	label     string
+	sc        engine.Scenario
+	canonical []byte
+	seed      uint64
+	key       string
+}
+
+// canonicalRun prepares a scenario the way every submission path must, so a
+// sweep cell and the equivalent standalone run share one cache key: trace
+// recording is stripped (the service reports summaries, never traces), and
+// the default stream discipline is applied to async scenarios that do not
+// pin one, before canonicalization, so the key reflects the discipline that
+// actually runs. The returned spec carries the prepared scenario even when
+// canonicalization fails, so callers can name it in the error.
+func canonicalRun(sc engine.Scenario, seed uint64, reps, defaultStream int) (runSpec, error) {
+	sc.Trace = false
+	if defaultStream != 0 && sc.Stream == 0 && sc.Protocol.Normalize() == engine.ProtocolAsync {
+		sc.Stream = defaultStream
+	}
+	r := runSpec{sc: sc, seed: seed}
+	canonical, err := engine.Canonical(sc)
+	if err != nil {
+		return r, err
+	}
+	r.canonical, r.key = canonical, runKey(canonical, seed, reps)
+	return r, nil
 }
 
 // RunSummary is the result document of a completed job, kept deliberately

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"dynamicrumor/internal/engine"
-	"dynamicrumor/internal/obs"
 	"dynamicrumor/internal/store"
 )
 
@@ -62,6 +61,23 @@ type sweepRecord struct {
 	Request       json.RawMessage `json:"request"`
 	DefaultStream int             `json:"default_stream,omitempty"`
 	SubmittedAt   time.Time       `json:"submitted_at"`
+}
+
+// ledgerRecord encodes a job's recSubmit record, for appends and compaction.
+func (j *job) ledgerRecord() (store.Record, error) {
+	payload, err := json.Marshal(submitRecord{
+		ID: j.id, Canonical: j.canonical, Reps: j.reps, Seed: j.seed, SubmittedAt: j.submitted,
+	})
+	return store.Record{Type: recSubmit, Payload: payload}, err
+}
+
+// ledgerRecord encodes a sweep's recSweepSubmit record, for appends and
+// compaction.
+func (sw *sweep) ledgerRecord() (store.Record, error) {
+	payload, err := json.Marshal(sweepRecord{
+		ID: sw.id, Request: sw.request, DefaultStream: sw.defaultStream, SubmittedAt: sw.submitted,
+	})
+	return store.Record{Type: recSweepSubmit, Payload: payload}, err
 }
 
 // openLedger opens the service journal under dir, replays it into the
@@ -129,8 +145,8 @@ func (s *Service) openLedger(path string) error {
 
 // recoverSweep re-adopts one journalled, unsettled sweep: the recorded
 // request is re-planned (planning is deterministic, so the cells carry
-// their original IDs, labels and cache keys) and every cell runs the
-// standard re-adoption ladder — settled from the durable cache when its
+// their original IDs, labels and cache keys) and every cell is admitted as
+// recovered (see admitLocked) — settled from the durable cache when its
 // result survived the crash, coalesced onto an identical recovered run, or
 // re-enqueued. Cells that all settle from the cache finalize the sweep
 // immediately, exactly as a live sweep would.
@@ -171,18 +187,18 @@ func (s *Service) recoverSweep(sr sweepRecord) {
 		s.nextSweepID = n
 	}
 	s.sweepsRecovered++
+	cached := make([]cacheLookup, len(cells))
 	for i, pc := range cells {
-		s.adoptCellLocked(sw, i, pc, now, true)
+		cached[i] = s.lookupCacheLocked(pc.key)
 	}
-	if sw.total == 0 {
-		s.finalizeSweepLocked(sw)
-	}
+	s.adoptCellsLocked(sw, cells, cached, true, now)
 	s.log.Info("service: recovery: sweep re-adopted", "sweep", sw.id, "cells", sw.total, "settled", sw.settled)
 }
 
-// recoverJob re-adopts one journalled, unsettled submission: served from
-// the (disk) cache if its result is already durable, coalesced onto an
-// identical recovered run, or re-enqueued under its original ID.
+// recoverJob re-adopts one journalled, unsettled submission under its
+// original ID, admitted as recovered (see admitLocked): served from the
+// (disk) cache if its result is already durable, coalesced onto an
+// identical recovered run, or re-enqueued.
 func (s *Service) recoverJob(sr submitRecord) {
 	sc, err := engine.Parse(sr.Canonical)
 	if err != nil {
@@ -191,57 +207,30 @@ func (s *Service) recoverJob(sr submitRecord) {
 		s.log.Warn("service: recovery: job scenario no longer parses, dropping", "job", sr.ID, "err", err)
 		return
 	}
-	key := runKey(sr.Canonical, sr.Seed, sr.Reps)
 	now := s.clock()
-	s.submitSeq++
-	j := &job{
-		id:        sr.ID,
-		scenario:  sc,
-		canonical: sr.Canonical,
-		key:       key,
-		reps:      sr.Reps,
-		seed:      sr.Seed,
-		seq:       s.submitSeq,
-		submitted: sr.SubmittedAt,
-		journaled: true,
+	submitted := sr.SubmittedAt
+	if submitted.IsZero() {
+		submitted = now
 	}
-	if j.submitted.IsZero() {
-		j.submitted = now
-	}
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	s.startTraceLocked(j, j.submitted)
-	j.trace.Add(obs.Span{Name: "recovered", Start: now, End: now})
+	r := runSpec{sc: sc, canonical: sr.Canonical, seed: sr.Seed, key: runKey(sr.Canonical, sr.Seed, sr.Reps)}
+	j := s.newJobLocked(sr.ID, nil, r, sr.Reps, submitted)
+	j.journaled = true
 	if n, err := strconv.Atoi(strings.TrimPrefix(sr.ID, "j")); err == nil && n > s.nextID {
 		s.nextID = n
 	}
 	s.jobsRecovered++
-
-	if summary, ok := s.lookupCacheLocked(key); ok {
+	// A journalled job is never journalled again, so admission cannot fail.
+	_ = s.admitLocked(j, s.lookupCacheLocked(j.key), true, now)
+	switch {
+	case j.cacheHit:
 		// The run completed and its summary was durably cached before the
-		// crash; only the settle record was lost. Settle it now, identically.
-		j.state = StateDone
-		j.cacheHit = true
-		j.started, j.finished = now, now
-		j.summary = summary
-		j.trace.Add(obs.Span{Name: "cache-hit", Start: now, End: now})
-		s.terminal++
+		// crash; only the settle record was lost.
 		s.log.Info("service: recovery: job settled from the durable cache", "job", j.id)
-		return
+	case j.leader != nil:
+		s.log.Info("service: recovery: job coalesced onto recovered run", "job", j.id, "leader", j.leader.id)
+	default:
+		s.log.Info("service: recovery: job re-enqueued", "job", j.id, "reps", j.reps, "seed", j.seed)
 	}
-	if leader, ok := s.inflight[key]; ok {
-		j.state = StateQueued
-		j.leader = leader
-		leader.followers = append(leader.followers, j)
-		j.trace.Add(obs.Span{Name: "coalesced", Detail: "leader=" + leader.id, Start: now, End: now})
-		s.log.Info("service: recovery: job coalesced onto recovered run", "job", j.id, "leader", leader.id)
-		return
-	}
-	j.state = StateQueued
-	s.queue = append(s.queue, j)
-	s.inflight[key] = j
-	s.recoveredKeys = append(s.recoveredKeys, key)
-	s.log.Info("service: recovery: job re-enqueued", "job", j.id, "reps", j.reps, "seed", j.seed)
 }
 
 // RecoveredKeys lists the run keys of jobs re-adopted into the queue at
@@ -253,48 +242,25 @@ func (s *Service) RecoveredKeys() []string {
 	return append([]string(nil), s.recoveredKeys...)
 }
 
-// journalSubmitLocked durably records an accepted leader job. An append
-// failure is surfaced to the submitter — acknowledging a run the ledger
-// cannot replay would break the durability contract. Callers hold the mutex.
+// journalSubmitLocked durably records a job that became the leader of its
+// key. Sweep cells are skipped — their sweep's record re-plans them, and a
+// duplicate submit record would re-adopt the cell twice — as are jobs
+// already in the ledger. An append failure is surfaced to the caller —
+// acknowledging a run the ledger cannot replay would break the durability
+// contract. Callers hold the mutex.
 func (s *Service) journalSubmitLocked(j *job) error {
-	if s.journal == nil {
+	if s.journal == nil || j.journaled || j.sweep != nil {
 		return nil
 	}
-	payload, err := json.Marshal(submitRecord{
-		ID: j.id, Canonical: j.canonical, Reps: j.reps, Seed: j.seed, SubmittedAt: j.submitted,
-	})
-	if err != nil {
-		return err
+	rec, err := j.ledgerRecord()
+	if err == nil {
+		err = s.journal.Append(rec)
 	}
-	if err := s.journal.Append(store.Record{Type: recSubmit, Payload: payload}); err != nil {
+	if err != nil {
 		return err
 	}
 	j.journaled = true
 	return nil
-}
-
-// journalSettleLocked records a client-visible terminal transition of a
-// journalled job, then compacts the ledger if it has grown past the
-// threshold. Settle-record loss is harmless — the run would be re-adopted
-// and served from the durable cache — so failures are logged, not fatal.
-// Callers hold the mutex.
-func (s *Service) journalSettleLocked(j *job) {
-	if s.journal == nil || !j.journaled {
-		return
-	}
-	payload, err := json.Marshal(settleRecord{ID: j.id})
-	if err == nil {
-		err = s.journal.Append(store.Record{Type: recSettle, Payload: payload})
-	}
-	if err != nil {
-		s.log.Warn("service: journal settle failed", "job", j.id, "err", err)
-		return
-	}
-	if s.journal.Size() > journalCompactBytes {
-		if err := s.compactLedgerLocked(); err != nil {
-			s.log.Warn("service: journal compaction failed", "err", err)
-		}
-	}
 }
 
 // journalSweepSubmitLocked durably records an accepted sweep. One fsync'd
@@ -305,33 +271,33 @@ func (s *Service) journalSweepSubmitLocked(sw *sweep) error {
 	if s.journal == nil {
 		return nil
 	}
-	payload, err := json.Marshal(sweepRecord{
-		ID: sw.id, Request: sw.request, DefaultStream: sw.defaultStream, SubmittedAt: sw.submitted,
-	})
-	if err != nil {
-		return err
+	rec, err := sw.ledgerRecord()
+	if err == nil {
+		err = s.journal.Append(rec)
 	}
-	if err := s.journal.Append(store.Record{Type: recSweepSubmit, Payload: payload}); err != nil {
+	if err != nil {
 		return err
 	}
 	sw.journaled = true
 	return nil
 }
 
-// journalSweepSettleLocked records a sweep's terminal transition. Like job
-// settles, loss is harmless — the sweep would be re-adopted and its cells
-// settled from the durable cache — so failures are logged, not fatal.
-// Callers hold the mutex.
-func (s *Service) journalSweepSettleLocked(sw *sweep) {
-	if s.journal == nil || !sw.journaled {
+// journalSettleLocked records a client-visible terminal transition of a
+// journalled job or sweep — job and sweep IDs share the settle record, their
+// prefixes keeping the namespaces disjoint — then compacts the ledger if it
+// has grown past the threshold. Settle-record loss is harmless — the run or
+// sweep would be re-adopted and settled from the durable cache — so failures
+// are logged, not fatal. Callers hold the mutex.
+func (s *Service) journalSettleLocked(id string, journaled bool) {
+	if s.journal == nil || !journaled {
 		return
 	}
-	payload, err := json.Marshal(settleRecord{ID: sw.id})
+	payload, err := json.Marshal(settleRecord{ID: id})
 	if err == nil {
 		err = s.journal.Append(store.Record{Type: recSettle, Payload: payload})
 	}
 	if err != nil {
-		s.log.Warn("service: journal settle failed", "sweep", sw.id, "err", err)
+		s.log.Warn("service: journal settle failed", "id", id, "err", err)
 		return
 	}
 	if s.journal.Size() > journalCompactBytes {
@@ -360,26 +326,22 @@ func (s *Service) compactLedgerLocked() error {
 		if !j.journaled || j.state.Terminal() {
 			continue
 		}
-		payload, err := json.Marshal(submitRecord{
-			ID: j.id, Canonical: j.canonical, Reps: j.reps, Seed: j.seed, SubmittedAt: j.submitted,
-		})
+		rec, err := j.ledgerRecord()
 		if err != nil {
 			return err
 		}
-		live = append(live, liveRecord{seq: j.seq, rec: store.Record{Type: recSubmit, Payload: payload}})
+		live = append(live, liveRecord{seq: j.seq, rec: rec})
 	}
 	for _, id := range s.sweepOrder {
 		sw := s.sweeps[id]
 		if !sw.journaled || sw.state.Terminal() {
 			continue
 		}
-		payload, err := json.Marshal(sweepRecord{
-			ID: sw.id, Request: sw.request, DefaultStream: sw.defaultStream, SubmittedAt: sw.submitted,
-		})
+		rec, err := sw.ledgerRecord()
 		if err != nil {
 			return err
 		}
-		live = append(live, liveRecord{seq: sw.seq, rec: store.Record{Type: recSweepSubmit, Payload: payload}})
+		live = append(live, liveRecord{seq: sw.seq, rec: rec})
 	}
 	sort.Slice(live, func(i, k int) bool { return live[i].seq < live[k].seq })
 	records := make([]store.Record, 0, len(live))

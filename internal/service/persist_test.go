@@ -230,6 +230,27 @@ func TestLedgerSettlesCancelledJob(t *testing.T) {
 	}
 }
 
+// TestJournalFailureRefusesSubmission: when the ledger cannot record a new
+// run, the submission is refused with 500 and leaves no trace — no job and
+// no cache miss counted for a run that was never accepted.
+func TestJournalFailureRefusesSubmission(t *testing.T) {
+	svc, ts := startPersistServer(t, Config{Budget: 2, StateDir: t.TempDir()})
+	defer stopPersistServer(svc, ts)
+	if err := svc.journal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	status, body := do(t, http.MethodPost, ts.URL+"/v1/runs", submitBody)
+	if status != http.StatusInternalServerError {
+		t.Fatalf("submit with a closed journal returned %d, want 500: %s", status, body)
+	}
+	if m := svc.metrics(); m.Cache.Misses != 0 {
+		t.Errorf("cache.misses = %d after a refused submission, want 0", m.Cache.Misses)
+	}
+	if runs := svc.jobViews(); len(runs) != 0 {
+		t.Errorf("refused submission left %d jobs", len(runs))
+	}
+}
+
 // unreadyBackend reports not-ready until flipped, mimicking a coordinator
 // with no live workers.
 type unreadyBackend struct {
@@ -287,12 +308,17 @@ func TestSubmitUnavailableBackend(t *testing.T) {
 	}
 }
 
-// TestSubmitBodyTooLarge: an oversized submission is refused with 413.
+// TestSubmitBodyTooLarge: an oversized submission is refused with 413 on
+// both submission endpoints.
 func TestSubmitBodyTooLarge(t *testing.T) {
 	_, ts := newTestServer(t, Config{Budget: 2})
-	huge := `{"scenario":{"name":"` + strings.Repeat("x", maxBodyBytes+1024) + `"}}`
-	status, body := do(t, http.MethodPost, ts.URL+"/v1/runs", huge)
-	if status != http.StatusRequestEntityTooLarge {
-		t.Errorf("oversized submission: status %d, body %.100s", status, body)
+	for path, huge := range map[string]string{
+		"/v1/runs":   `{"scenario":{"name":"` + strings.Repeat("x", maxBodyBytes+1024) + `"}}`,
+		"/v1/sweeps": `{"sweep":{"name":"` + strings.Repeat("x", maxBodyBytes+1024) + `"}}`,
+	} {
+		status, body := do(t, http.MethodPost, ts.URL+path, huge)
+		if status != http.StatusRequestEntityTooLarge {
+			t.Errorf("oversized submission to %s: status %d, body %.100s", path, status, body)
+		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"dynamicrumor/internal/buildinfo"
-	"dynamicrumor/internal/engine"
 	"dynamicrumor/internal/obs"
 	"dynamicrumor/internal/runner"
 	"dynamicrumor/internal/sim"
@@ -111,10 +110,9 @@ type Service struct {
 	log           *slog.Logger
 	logRequests   bool
 
-	// Observability (see internal/obs): the shared histogram registry, the
-	// bounded flight recorder of run timelines, and the hot-path histograms.
+	// Observability (see internal/obs): the shared histogram registry and the
+	// hot-path histograms. Run timelines live on the job records.
 	reg           *obs.Registry
-	rec           *obs.Recorder
 	histQueueWait *obs.Histogram
 	histRun       *obs.Histogram
 	histCacheGet  *obs.Histogram
@@ -222,7 +220,6 @@ func New(cfg Config) (*Service, error) {
 	// Register every histogram at startup — including the lease round-trip
 	// one the coordinator records into when it shares this registry — so the
 	// /metrics document exposes the full set in every deployment mode.
-	s.rec = obs.NewRecorder(0)
 	s.histQueueWait = s.reg.Histogram("queue_wait", "Seconds jobs spent queued before dispatch.")
 	s.histRun = s.reg.Histogram("run_duration", "Seconds dispatched jobs spent running to done.")
 	s.histCacheGet = s.reg.Histogram("cache_lookup", "Seconds spent in result cache lookups (memory, then disk).")
@@ -287,95 +284,179 @@ func (s *Service) Close() {
 	}
 }
 
-// submit validates a submission and either answers it from the cache or
-// enqueues a job. The returned view is rendered atomically with the
-// enqueue, so a submit response always reads "queued" (or "done" for a
-// cache hit) even if the dispatcher picks the job up immediately. The
-// client identifies the submitter for rate limiting; cache hits and
-// coalesced submissions are served without consulting the limiter.
-func (s *Service) submit(sc engine.Scenario, canonical []byte, reps int, seed uint64, client string) (JobView, error) {
-	key := runKey(canonical, seed, reps)
+// submit admits a plain run: served from the cache, coalesced onto an
+// identical in-flight run, or enqueued (see admitLocked). The returned view
+// is rendered atomically with the admission, so a submit response always
+// reads "queued" (or "done" for a cache hit) even if the dispatcher picks
+// the job up immediately. The client identifies the submitter for rate
+// limiting; cache hits and coalesced submissions are served without
+// consulting the limiter.
+func (s *Service) submit(r runSpec, reps int, client string) (JobView, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return JobView{}, errShutdown
 	}
 	now := s.clock()
-	if summary, ok := s.lookupCacheLocked(key); ok {
-		s.hits++
-		j := s.newJobLocked(sc, canonical, key, reps, seed, now)
-		j.state = StateDone
-		j.cacheHit = true
-		j.started, j.finished = now, now
-		j.summary = summary
-		j.trace.Add(obs.Span{Name: "cache-hit", Start: now, End: now})
-		s.markTerminalLocked(j)
-		s.pruneHistoryLocked()
-		return j.view(), nil
-	}
-	// Coalesce onto an identical in-flight run: the engine would compute
-	// bit-identical results, so the follower just rides the leader and
-	// settles with it, consuming no queue slot and no worker budget.
-	if leader, ok := s.inflight[key]; ok {
-		s.coalesced++
-		j := s.newJobLocked(sc, canonical, key, reps, seed, now)
-		j.state = StateQueued
-		j.leader = leader
-		leader.followers = append(leader.followers, j)
-		j.trace.Add(obs.Span{Name: "coalesced", Detail: "leader=" + leader.id, Start: now, End: now})
-		return j.view(), nil
-	}
-	// Only submissions that need new work consult backend readiness: cache
-	// hits and coalesced followers are served above even when the backend
-	// has nothing to execute on.
-	if rc, ok := s.backend.(readyChecker); ok {
-		if err := rc.Ready(); err != nil {
+	cached := s.lookupCacheLocked(r.key)
+	if !cached.hit && s.inflight[r.key] == nil {
+		if err := s.acceptWorkLocked(1, client, now); err != nil {
 			return JobView{}, err
 		}
 	}
-	if len(s.queue) >= s.queueLimit {
-		return JobView{}, errQueueFull
-	}
-	if err := s.allowLocked(client, now); err != nil {
-		return JobView{}, err
-	}
-	s.misses++
-	j := s.newJobLocked(sc, canonical, key, reps, seed, now)
-	j.state = StateQueued
-	if err := s.journalSubmitLocked(j); err != nil {
+	s.nextID++
+	j := s.newJobLocked(fmt.Sprintf("j%08d", s.nextID), nil, r, reps, now)
+	if err := s.admitLocked(j, cached, false, now); err != nil {
 		// The ledger could not durably record the job; un-register it and
 		// refuse the submission rather than acknowledge a run a restart
 		// would silently forget.
 		delete(s.jobs, j.id)
 		s.order = s.order[:len(s.order)-1]
 		s.nextID--
-		return JobView{}, fmt.Errorf("journal submission: %w", err)
+		return JobView{}, err
 	}
-	s.queue = append(s.queue, j)
-	s.inflight[key] = j
-	s.cond.Signal()
+	s.pruneHistoryLocked()
 	return j.view(), nil
+}
+
+// acceptWorkLocked gates submissions that need n new runs: backend
+// readiness, the queue bound and the rate limiter. Cache hits and coalesced
+// followers never reach it, so they are served even when the backend has
+// nothing to execute on. Callers hold the mutex.
+func (s *Service) acceptWorkLocked(n int, client string, now time.Time) error {
+	if rc, ok := s.backend.(readyChecker); ok {
+		if err := rc.Ready(); err != nil {
+			return err
+		}
+	}
+	if len(s.queue)+n > s.queueLimit {
+		return errQueueFull
+	}
+	return s.allowLocked(client, now)
+}
+
+// newJobLocked builds and registers the record of one run — a plain job, or
+// a cell of sw — and opens its flight-recorder trace with the "submitted"
+// span. Trace IDs are deterministic — "tr-" plus the job ID — so golden
+// responses stay stable and a cluster worker's spans stitch into the same
+// timeline by ID alone. Callers hold the mutex.
+func (s *Service) newJobLocked(id string, sw *sweep, r runSpec, reps int, submitted time.Time) *job {
+	s.submitSeq++
+	j := &job{
+		id:        id,
+		seq:       s.submitSeq,
+		scenario:  r.sc,
+		canonical: r.canonical,
+		key:       r.key,
+		reps:      reps,
+		seed:      r.seed,
+		sweep:     sw,
+		cellLabel: r.label,
+		submitted: submitted,
+		trace:     obs.NewTrace("tr-"+id, id),
+	}
+	if sw != nil {
+		j.compile = sw.compile
+		sw.cells = append(sw.cells, j)
+	}
+	s.jobs[id] = j
+	s.order = append(s.order, id)
+	j.trace.Add(obs.Span{
+		Name:   "submitted",
+		Detail: fmt.Sprintf("reps=%d seed=%d", reps, r.seed),
+		Start:  submitted,
+		End:    submitted,
+	})
+	return j
+}
+
+// admitLocked is the one admission path of every job — plain submissions,
+// sweep cells and jobs recovered from the ledger alike. Given the caller's
+// single cache lookup of the job's key, the job is
+//
+//   - served from the cache: settled done at once;
+//   - coalesced onto an identical in-flight leader: the engine would compute
+//     bit-identical results, so the follower rides the leader and settles
+//     with it, consuming no queue slot and no worker budget;
+//   - or enqueued as the leader of its key, journalled first (see
+//     journalSubmitLocked). A journal failure refuses the job; the error is
+//     returned and the caller unregisters the job.
+//
+// Hits, misses and coalesced submissions are counted only for live
+// submissions, so a restart does not inflate client-facing statistics; a
+// recovered job instead gains a "recovered" span, and a recovered leader's
+// key is listed in RecoveredKeys. Callers hold the mutex.
+func (s *Service) admitLocked(j *job, cached cacheLookup, recovered bool, now time.Time) error {
+	if recovered {
+		j.trace.Add(obs.Span{Name: "recovered", Start: now, End: now})
+	}
+	if cached.hit {
+		if !recovered {
+			s.hits++
+		}
+		j.state = StateDone
+		j.cacheHit = true
+		j.started, j.finished = now, now
+		j.summary = cached.summary
+		j.trace.Add(obs.Span{Name: "cache-hit", Start: now, End: now})
+		s.markTerminalLocked(j)
+		return nil
+	}
+	j.state = StateQueued
+	if leader, ok := s.inflight[j.key]; ok {
+		if !recovered {
+			s.coalesced++
+		}
+		j.leader = leader
+		leader.followers = append(leader.followers, j)
+		j.trace.Add(obs.Span{Name: "coalesced", Detail: "leader=" + leader.id, Start: now, End: now})
+		return nil
+	}
+	if err := s.journalSubmitLocked(j); err != nil {
+		return fmt.Errorf("journal submission: %w", err)
+	}
+	if recovered {
+		s.recoveredKeys = append(s.recoveredKeys, j.key)
+	} else {
+		s.misses++
+	}
+	s.enqueueLocked(j)
+	return nil
+}
+
+// enqueueLocked appends a leader to the FIFO queue and registers it as the
+// in-flight run of its key. Callers hold the mutex.
+func (s *Service) enqueueLocked(j *job) {
+	s.queue = append(s.queue, j)
+	s.inflight[j.key] = j
+	s.cond.Signal()
+}
+
+// cacheLookup is the outcome of one result-cache lookup.
+type cacheLookup struct {
+	summary json.RawMessage
+	hit     bool
 }
 
 // lookupCacheLocked consults the in-memory result cache and, on a miss, the
 // disk-backed one, promoting a disk hit back into memory. Callers hold the
 // mutex. Lookup latency — dominated by the disk tier on memory misses —
 // feeds the cache_lookup histogram.
-func (s *Service) lookupCacheLocked(key string) (json.RawMessage, bool) {
+func (s *Service) lookupCacheLocked(key string) cacheLookup {
 	t0 := time.Now()
 	defer func() { s.histCacheGet.Observe(time.Since(t0)) }()
 	if summary, ok := s.cache.get(key); ok {
-		return summary, true
+		return cacheLookup{summary: summary, hit: true}
 	}
 	if s.disk == nil {
-		return nil, false
+		return cacheLookup{}
 	}
 	payload, ok := s.disk.Get(key)
 	if !ok {
-		return nil, false
+		return cacheLookup{}
 	}
 	s.cache.put(key, payload)
-	return payload, true
+	return cacheLookup{summary: payload, hit: true}
 }
 
 // pruneHistoryLocked forgets the oldest terminal job records beyond the
@@ -415,40 +496,6 @@ func (s *Service) markTerminalLocked(j *job) {
 		s.terminal++
 	}
 	s.noteCellSettledLocked(j)
-}
-
-// newJobLocked allocates and registers a job record. Callers hold the mutex.
-func (s *Service) newJobLocked(sc engine.Scenario, canonical []byte, key string, reps int, seed uint64, now time.Time) *job {
-	s.nextID++
-	s.submitSeq++
-	j := &job{
-		id:        fmt.Sprintf("j%08d", s.nextID),
-		seq:       s.submitSeq,
-		scenario:  sc,
-		canonical: canonical,
-		key:       key,
-		reps:      reps,
-		seed:      seed,
-		submitted: now,
-	}
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	s.startTraceLocked(j, now)
-	return j
-}
-
-// startTraceLocked opens the job's flight-recorder timeline. Trace IDs are
-// deterministic — "tr-" plus the job ID — so golden responses stay stable
-// and a cluster worker's spans stitch into the same timeline by ID alone.
-// Callers hold the mutex.
-func (s *Service) startTraceLocked(j *job, now time.Time) {
-	j.trace = s.rec.Start("tr-"+j.id, j.id)
-	j.trace.Add(obs.Span{
-		Name:   "submitted",
-		Detail: fmt.Sprintf("reps=%d seed=%d", j.reps, j.seed),
-		Start:  now,
-		End:    now,
-	})
 }
 
 // grantWorkers decides a dispatched job's share of the worker budget: every
@@ -563,7 +610,7 @@ func (s *Service) runJob(j *job, ctx context.Context, cancel context.CancelFunc,
 		// Shutdown cancellations are not settlements: a gracefully stopped
 		// daemon leaves the same ledger a crashed one would, and both resume
 		// the run on restart.
-		s.journalSettleLocked(j)
+		s.journalSettleLocked(j.id, j.journaled)
 	}
 	s.settleFollowersLocked(j)
 	s.pruneHistoryLocked()
@@ -595,7 +642,7 @@ func (s *Service) settleFollowersLocked(leader *job) {
 			f.started, f.finished = now, now
 			s.markTerminalLocked(f)
 			// Recovered followers carry their own ledger entries; settle them.
-			s.journalSettleLocked(f)
+			s.journalSettleLocked(f.id, f.journaled)
 		}
 	case StateCancelled:
 		if s.closed {
@@ -614,19 +661,12 @@ func (s *Service) settleFollowersLocked(leader *job) {
 		for _, f := range next.followers {
 			f.leader = next
 		}
-		if !next.journaled && next.sweep == nil {
-			// The promoted follower now owns the run; record it so a restart
-			// resumes it. Best effort — the submission was already accepted.
-			// Sweep cells are never journalled individually: their sweep's
-			// record re-plans them, and a duplicate submit record would
-			// re-adopt the cell twice.
-			if err := s.journalSubmitLocked(next); err != nil {
-				s.log.Warn("service: journal promoted follower failed", "job", next.id, "err", err)
-			}
+		// The promoted follower now owns the run; record it so a restart
+		// resumes it. Best effort — the submission was already accepted.
+		if err := s.journalSubmitLocked(next); err != nil {
+			s.log.Warn("service: journal promoted follower failed", "job", next.id, "err", err)
 		}
-		s.queue = append(s.queue, next)
-		s.inflight[next.key] = next
-		s.cond.Signal()
+		s.enqueueLocked(next)
 	}
 }
 
@@ -663,7 +703,7 @@ func (s *Service) cancelJob(id string) (JobView, error) {
 		j.errMsg = "cancelled before start"
 		j.finished = s.clock()
 		s.markTerminalLocked(j)
-		s.journalSettleLocked(j)
+		s.journalSettleLocked(j.id, j.journaled)
 		s.settleFollowersLocked(j)
 		s.pruneHistoryLocked()
 		return j.view(), nil
@@ -944,8 +984,7 @@ func (s *Service) health() HealthResponse {
 }
 
 // traceView fetches one run's flight-recorder timeline by job ID. The trace
-// lives on the job record, so it is available as long as the job is — the
-// recorder's FIFO bound only governs lookups by bare trace ID.
+// lives on the job record, so it is available as long as the job is.
 func (s *Service) traceView(id string) (obs.TraceView, bool) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]

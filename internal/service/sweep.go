@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,7 +10,6 @@ import (
 	"time"
 
 	"dynamicrumor/internal/engine"
-	"dynamicrumor/internal/obs"
 )
 
 // The sweep subsystem: one POST /v1/sweeps submission declares a parameter
@@ -72,44 +70,26 @@ type SweepRequest struct {
 	Seed uint64 `json:"seed"`
 }
 
-// plannedCell is one grid point the planner produced: a fully validated
-// scenario plus the exact cache key a standalone POST /v1/runs of the same
-// cell would compute.
-type plannedCell struct {
-	label     string
-	sc        engine.Scenario
-	canonical []byte
-	seed      uint64
-	key       string
-}
-
 // sweepAxis is one dimension of the planner's odometer.
 type sweepAxis struct {
 	key    string
 	values []float64
 }
 
-// planSweep expands a sweep request into its cell list. Planning is pure and
-// deterministic — equal (request, defaultStream) always yield the identical
+// planSweep expands a sweep request into its cell list: each cell a fully
+// validated run carrying the exact cache key a standalone POST /v1/runs of
+// the same cell would compute. Planning is pure and deterministic — equal (request, defaultStream) always yield the identical
 // cell list — which is what lets crash recovery re-plan a journalled sweep
 // and re-adopt its unfinished cells under their original identities.
-func planSweep(req SweepRequest, defaultStream int) ([]plannedCell, error) {
+func planSweep(req SweepRequest, defaultStream int) ([]runSpec, error) {
 	spec := req.Sweep
 	var base engine.Scenario
 	if len(spec.Base) > 0 {
-		dec := json.NewDecoder(bytes.NewReader(spec.Base))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&base); err != nil {
-			return nil, fmt.Errorf("decode base scenario: %w", err)
-		}
-		if dec.More() {
-			return nil, errors.New("trailing content after the base scenario object")
+		if err := decodeStrict(spec.Base, &base, "base scenario"); err != nil {
+			return nil, err
 		}
 	}
-	// The service reports summaries, never traces, and cell results must hit
-	// the same cache entries standalone runs would.
 	base.Name = ""
-	base.Trace = false
 	family := spec.Family
 	if family == "" {
 		family = base.Network.Family
@@ -163,7 +143,7 @@ func planSweep(req SweepRequest, defaultStream int) ([]plannedCell, error) {
 		return nil, fmt.Errorf("sweep plans %d cells, exceeding the limit of %d", total, maxSweepCells)
 	}
 
-	cells := make([]plannedCell, 0, total)
+	cells := make([]runSpec, 0, total)
 	idx := make([]int, len(axes))
 	for {
 		for _, proto := range protocols {
@@ -184,30 +164,20 @@ func planSweep(req SweepRequest, defaultStream int) ([]plannedCell, error) {
 					sc.Network.Params = params
 					sc.Protocol = engine.ProtocolKind(proto)
 					sc.Stream = stream
-					// The configured default stream discipline applies to async
-					// cells that do not pin one, before canonicalization —
-					// exactly as POST /v1/runs applies it — so cell cache keys
-					// match standalone submissions under the same daemon.
-					if defaultStream != 0 && sc.Stream == 0 && sc.Protocol.Normalize() == engine.ProtocolAsync {
-						sc.Stream = defaultStream
-					}
-					parts = append(parts, "protocol="+string(sc.Protocol.Normalize()))
-					if sc.Stream != 0 {
-						parts = append(parts, "stream="+strconv.Itoa(sc.Stream))
+					// Prepared exactly as POST /v1/runs prepares a scenario,
+					// so cell cache keys match standalone submissions under
+					// the same daemon; the label names the stream that runs.
+					cell, err := canonicalRun(sc, seed, req.Reps, defaultStream)
+					parts = append(parts, "protocol="+string(cell.sc.Protocol.Normalize()))
+					if cell.sc.Stream != 0 {
+						parts = append(parts, "stream="+strconv.Itoa(cell.sc.Stream))
 					}
 					parts = append(parts, "seed="+strconv.FormatUint(seed, 10))
-					label := strings.Join(parts, ",")
-					canonical, err := engine.Canonical(sc)
+					cell.label = strings.Join(parts, ",")
 					if err != nil {
-						return nil, fmt.Errorf("cell %s: %w", label, err)
+						return nil, fmt.Errorf("cell %s: %w", cell.label, err)
 					}
-					cells = append(cells, plannedCell{
-						label:     label,
-						sc:        sc,
-						canonical: canonical,
-						seed:      seed,
-						key:       runKey(canonical, seed, req.Reps),
-					})
+					cells = append(cells, cell)
 				}
 			}
 		}
@@ -333,12 +303,12 @@ type SweepsResponse struct {
 	Sweeps []SweepView `json:"sweeps"`
 }
 
-// submitSweep registers a planned sweep and adopts its cells: each cell is
-// served from the result cache, coalesced onto an identical in-flight run,
-// or enqueued as an ordinary FIFO job — the same admission path single
-// submissions take, so scheduling, budget, coalescing and durability
-// behave identically for grid work.
-func (s *Service) submitSweep(req SweepRequest, cells []plannedCell, client string) (SweepView, error) {
+// submitSweep registers a planned sweep and admits its cells through the
+// same admission path single submissions take (see admitLocked), so
+// scheduling, budget, coalescing and durability behave identically for grid
+// work. Admission is all or nothing: the cells that need new work are
+// counted first and gated together.
+func (s *Service) submitSweep(req SweepRequest, cells []runSpec, client string) (SweepView, error) {
 	reqDoc, err := json.Marshal(req)
 	if err != nil {
 		return SweepView{}, fmt.Errorf("encode sweep request: %w", err)
@@ -351,32 +321,20 @@ func (s *Service) submitSweep(req SweepRequest, cells []plannedCell, client stri
 	now := s.clock()
 	// Count the cells that need new work: cached and coalesced cells are
 	// served regardless of backend readiness, queue capacity or rate limits,
-	// exactly as cache-hit single submissions are.
+	// exactly as cache-hit single submissions are. Each cell's one cache
+	// lookup serves both the count and its admission.
+	cached := make([]cacheLookup, len(cells))
 	need := 0
 	seen := make(map[string]bool, len(cells))
-	for _, pc := range cells {
-		if seen[pc.key] {
-			continue
+	for i, pc := range cells {
+		cached[i] = s.lookupCacheLocked(pc.key)
+		if !cached[i].hit && !seen[pc.key] && s.inflight[pc.key] == nil {
+			need++
 		}
 		seen[pc.key] = true
-		if _, ok := s.lookupCacheLocked(pc.key); ok {
-			continue
-		}
-		if _, ok := s.inflight[pc.key]; ok {
-			continue
-		}
-		need++
 	}
 	if need > 0 {
-		if rc, ok := s.backend.(readyChecker); ok {
-			if err := rc.Ready(); err != nil {
-				return SweepView{}, err
-			}
-		}
-		if len(s.queue)+need > s.queueLimit {
-			return SweepView{}, errQueueFull
-		}
-		if err := s.allowLocked(client, now); err != nil {
+		if err := s.acceptWorkLocked(need, client, now); err != nil {
 			return SweepView{}, err
 		}
 	}
@@ -402,67 +360,23 @@ func (s *Service) submitSweep(req SweepRequest, cells []plannedCell, client stri
 	s.sweeps[sw.id] = sw
 	s.sweepOrder = append(s.sweepOrder, sw.id)
 	s.sweepsSubmitted++
+	s.adoptCellsLocked(sw, cells, cached, false, now)
+	return s.sweepViewLocked(sw, false), nil
+}
+
+// adoptCellsLocked registers a sweep's planned cells as jobs owned by the
+// sweep and admits each, in planning order, with its cache lookup. A sweep
+// of zero cells finalizes at once. Callers hold the mutex.
+func (s *Service) adoptCellsLocked(sw *sweep, cells []runSpec, cached []cacheLookup, recovered bool, now time.Time) {
 	for i, pc := range cells {
-		s.adoptCellLocked(sw, i, pc, now, false)
+		j := s.newJobLocked(fmt.Sprintf("%s.c%03d", sw.id, i), sw, pc, sw.reps, now)
+		// Cells are never journalled individually — their sweep's record
+		// re-plans them — so their admission cannot fail.
+		_ = s.admitLocked(j, cached[i], recovered, now)
 	}
 	if sw.total == 0 {
 		s.finalizeSweepLocked(sw)
 	}
-	return s.sweepViewLocked(sw, false), nil
-}
-
-// adoptCellLocked registers one planned cell as a job owned by the sweep and
-// routes it through the standard admission ladder: cache hit, coalesce, or
-// enqueue. Recovery re-adoption skips the hit/miss counters so restart does
-// not inflate client-facing cache statistics. Callers hold the mutex.
-func (s *Service) adoptCellLocked(sw *sweep, idx int, pc plannedCell, now time.Time, recovered bool) {
-	j := &job{
-		id:        fmt.Sprintf("%s.c%03d", sw.id, idx),
-		scenario:  pc.sc,
-		canonical: pc.canonical,
-		key:       pc.key,
-		reps:      sw.reps,
-		seed:      pc.seed,
-		submitted: now,
-		sweep:     sw,
-		cellLabel: pc.label,
-		compile:   sw.compile,
-	}
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	sw.cells = append(sw.cells, j)
-	s.startTraceLocked(j, now)
-	if summary, ok := s.lookupCacheLocked(pc.key); ok {
-		if !recovered {
-			s.hits++
-		}
-		j.state = StateDone
-		j.cacheHit = true
-		j.started, j.finished = now, now
-		j.summary = summary
-		j.trace.Add(obs.Span{Name: "cache-hit", Start: now, End: now})
-		s.markTerminalLocked(j)
-		return
-	}
-	if leader, ok := s.inflight[pc.key]; ok {
-		if !recovered {
-			s.coalesced++
-		}
-		j.state = StateQueued
-		j.leader = leader
-		leader.followers = append(leader.followers, j)
-		j.trace.Add(obs.Span{Name: "coalesced", Detail: "leader=" + leader.id, Start: now, End: now})
-		return
-	}
-	if !recovered {
-		s.misses++
-	} else {
-		s.recoveredKeys = append(s.recoveredKeys, pc.key)
-	}
-	j.state = StateQueued
-	s.queue = append(s.queue, j)
-	s.inflight[pc.key] = j
-	s.cond.Signal()
 }
 
 // noteCellSettledLocked records one cell's terminal transition on its sweep:
@@ -521,7 +435,7 @@ func (s *Service) finalizeSweepLocked(sw *sweep) {
 		// Shutdown cancellations are not settlements — the same contract
 		// single runs honor — so a stopped daemon resumes the sweep's
 		// unfinished cells on restart.
-		s.journalSweepSettleLocked(sw)
+		s.journalSettleLocked(sw.id, sw.journaled)
 	}
 	s.appendSweepEventLocked(sw, "sweep", s.sweepViewLocked(sw, false))
 	s.pruneSweepsLocked()

@@ -142,11 +142,11 @@ func BenchmarkSweepSeparate24Cells(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			canonical, err := engine.Canonical(sc)
+			run, err := canonicalRun(sc, seeds[k], req.Reps, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
-			view, err := svc.submit(sc, canonical, req.Reps, seeds[k], "")
+			view, err := svc.submit(run, req.Reps, "")
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -185,6 +185,10 @@ func TestSweepReusesResultCache(t *testing.T) {
 	if status != http.StatusAccepted {
 		t.Fatalf("first sweep returned %d: %s", status, body)
 	}
+	// One cache lookup per cell, as for a single run.
+	if got := svc.metrics().Latency["cache_lookup"].Count; got != 8 {
+		t.Errorf("cache_lookup observations = %d for an 8-cell sweep, want 8", got)
+	}
 	first := waitSweep(t, ts.URL, decodeSweep(t, body).ID, StateDone)
 
 	status, body = do(t, http.MethodPost, ts.URL+"/v1/sweeps", sweepBody)
