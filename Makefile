@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race vet fmt-check check-rumorbench bench bench-json bench-smoke bench-service test-equivalence smoke-service smoke-cluster smoke-chaos smoke-sweep serve check clean
+.PHONY: all build test test-short test-race vet fmt-check check-rumorbench bench bench-json bench-smoke fuzz test-equivalence smoke-service smoke-cluster smoke-chaos smoke-sweep serve check clean
 
 # The anchor benchmarks tracked across PRs (see BENCH_*.json and
 # EXPERIMENTS.md): the Monte-Carlo engine fan-out (batch + streaming,
@@ -70,11 +70,11 @@ bench-smoke:
 	$(GO) test -run NONE -bench '$(BENCH_ANCHORS)' -benchtime 1x -benchmem .
 	$(GO) test -run NONE -bench '$(SERVICE_BENCH_ANCHORS)' -benchtime 1x -benchmem ./internal/service
 
-# bench-service runs the service load harness: submission-latency
-# percentiles and a timed native sweep against a live rumord, recorded as a
-# dated BENCH_SERVICE_<date>.json data point (see scripts/service_load.sh).
-bench-service:
-	sh scripts/service_load.sh
+# fuzz is the tier-2 fuzzing gate: a short run of the Builder.BuildInto
+# target against its map-based reference (internal/graph/fuzz_test.go). Its
+# committed seed corpus already runs on every plain `go test`.
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzBuilderBuildInto -fuzztime 20s ./internal/graph
 
 # test-equivalence is the tier-2 statistical gate: the v1-vs-v2 stream
 # equivalence suite (internal/statcheck, with the sim-level cross-validation)

@@ -14,16 +14,19 @@ import (
 // experiments, in contrast to the paper's adversarial constructions.
 //
 // The chain state is a flat presence bitmap over the n(n-1)/2 vertex pairs
-// (in (u,v) lexicographic order), transitioned in place; each materialized
-// graph is emitted into a recycled builder and one of two alternating graph
-// buffers, so steady-state steps allocate nothing. The graph of step t stays
-// valid until the rebuild for step t+2.
+// (in (u,v) lexicographic order), transitioned in place by xrand's bulk
+// MarkovStep one row at a time, and each row's edges are emitted right after
+// its transition — already sorted, so the build is a copy plus the
+// adjacency fill. The recycled builder and two alternating graph buffers
+// make steady-state steps allocation-free. The graph of step t stays valid
+// until the rebuild for step t+2.
 type EdgeMarkovian struct {
 	n       int
 	p, q    float64
 	rng     *xrand.RNG
 	initial *graph.Graph // chain start state, kept for Reset (may be nil)
 	present []bool       // pair bitmap, index pairIndex(u, v)
+	cols    []int        // emission scratch: one row's present columns
 	rb      rebuilder
 	current *graph.Graph
 	prev    int
@@ -45,6 +48,7 @@ func NewEdgeMarkovian(n int, p, q float64, initial *graph.Graph, rng *xrand.RNG)
 	}
 	em := &EdgeMarkovian{n: n, p: p, q: q, initial: initial}
 	em.present = make([]bool, n*(n-1)/2)
+	em.cols = make([]int, n)
 	em.rb = newRebuilder(n)
 	if err := em.Reset(rng); err != nil {
 		return nil, err
@@ -66,7 +70,7 @@ func (em *EdgeMarkovian) Reset(rng *xrand.RNG) error {
 			em.present[em.pairIndex(e.U, e.V)] = true
 		}
 	}
-	em.materialize()
+	em.materialize(false)
 	return nil
 }
 
@@ -85,40 +89,41 @@ func (em *EdgeMarkovian) GraphAt(t int, _ []bool) *graph.Graph {
 	if t <= em.prev {
 		return em.current
 	}
-	for step := em.prev; step < t; step++ {
-		em.transition()
+	// Steps nobody asked for only move the chain; the last one also emits.
+	for ; em.prev < t-1; em.prev++ {
+		em.rng.MarkovStep(em.present, em.p, em.q)
 	}
 	em.prev = t
-	em.materialize()
+	em.materialize(true)
 	return em.current
 }
 
-// transition advances every pair one Markov step, consuming one Bernoulli
-// draw per pair in (u, v) lexicographic order — the same stream as the
-// historical map-based implementation.
-func (em *EdgeMarkovian) transition() {
-	idx := 0
-	for u := 0; u < em.n; u++ {
-		for v := u + 1; v < em.n; v++ {
-			if em.present[idx] {
-				em.present[idx] = !em.rng.Bernoulli(em.q)
-			} else {
-				em.present[idx] = em.rng.Bernoulli(em.p)
-			}
-			idx++
-		}
-	}
-}
-
-func (em *EdgeMarkovian) materialize() {
+// materialize emits the pair bitmap into the recycled builder row by row —
+// u ascending, then v — so the edges reach the builder sorted and distinct
+// and its build skips the sort. With advance, each row first takes one
+// Markov step: one draw per pair in (u, v) lexicographic order, the same
+// stream as the historical map-based implementation, fused with the
+// emission so the bitmap is read once per step.
+func (em *EdgeMarkovian) materialize(advance bool) {
 	b := em.rb.begin(em.n)
-	idx := 0
-	for u := 0; u < em.n; u++ {
-		for v := u + 1; v < em.n; v++ {
-			if em.present[idx] {
-				b.AddEdge(u, v)
+	row := em.present
+	for u := 0; u < em.n-1; u++ {
+		pairs := row[:em.n-1-u]
+		row = row[len(pairs):]
+		if advance {
+			em.rng.MarkovStep(pairs, em.p, em.q)
+		}
+		// Compact the row's present columns without a branch on the
+		// coin flips, then emit them.
+		k := 0
+		for j, on := range pairs {
+			em.cols[k] = j
+			if on {
+				k++
 			}
-			idx++
+		}
+		for _, j := range em.cols[:k] {
+			b.AddEdge(u, u+1+j)
 		}
 	}
 	em.current = em.rb.flip()
@@ -221,6 +226,7 @@ func (m *MobileAgents) walk() {
 	}
 }
 
+// materialize re-derives the proximity graph from the agent positions.
 func (m *MobileAgents) materialize() {
 	// Counting sort of agents by cell id.
 	cells := m.side * m.side
@@ -239,7 +245,10 @@ func (m *MobileAgents) materialize() {
 		m.byCell[m.cellFill[k]] = i
 		m.cellFill[k]++
 	}
-	// Connect agents in the same or 4-neighboring cells.
+	// Connect agents in the same or 4-neighboring cells. Every adjacent
+	// pair is met from both agents' cells; emitting it only from the lower
+	// id halves the emission. On a side-2 torus opposite offsets reach the
+	// same cell, so pairs still arrive twice and the build drops the copy.
 	b := m.rb.begin(m.agents)
 	for k := 0; k < cells; k++ {
 		here := m.byCell[m.cellStart[k]:m.cellStart[k+1]]
@@ -254,7 +263,7 @@ func (m *MobileAgents) materialize() {
 			neighbors := m.byCell[m.cellStart[nk]:m.cellStart[nk+1]]
 			for _, a := range here {
 				for _, b2 := range neighbors {
-					if a != b2 {
+					if a < b2 {
 						b.AddEdge(a, b2)
 					}
 				}

@@ -28,21 +28,22 @@ func (e Edge) Canonical() Edge {
 // Builder accumulates edges and produces an immutable Graph.
 //
 // The builder is allocation-free in steady state: AddEdge appends to a
-// reusable edge buffer (duplicates and all), and Build deduplicates with two
-// stable counting-sort passes over vertex ids — no hash map, no
-// comparison sort. Reset recycles the builder (and its internal scratch) for
-// the next graph, which is what the dynamic networks do every time step.
+// reusable edge buffer (duplicates and all), and Build checks in one pass
+// whether that buffer is already strictly sorted and distinct — the dynamic
+// networks that emit row by row produce it so — and copies it straight into
+// the graph if it is. Otherwise two stable counting-sort passes over vertex
+// ids order it, the second scattering into the graph's own edge array, and
+// the adjacent duplicates are dropped while the degrees are counted: no hash
+// map, no comparison sort. Reset recycles the builder (and its internal
+// scratch) for the next graph, which is what the dynamic networks do every
+// time step.
 type Builder struct {
-	n  int
-	eu []int // canonical endpoints (eu[i] < ev[i]) of every added edge,
-	ev []int // duplicates allowed; deduplicated at Build time
+	n     int
+	edges []Edge // canonical (U < V) added edges, duplicates allowed
 
-	// Build scratch, reused across builds.
-	count []int // counting-sort histogram, length n+1
-	su    []int // radix pass 1 output (sorted by V)
-	sv    []int
-	tu    []int // radix pass 2 output (sorted by U, then V)
-	tv    []int
+	// Counting-sort scratch, reused across builds.
+	count []int  // histograms: U counts in [:n], V counts in [n:]
+	byV   []Edge // pass 1 output (sorted by V)
 }
 
 // NewBuilder returns a builder for a graph on n vertices.
@@ -61,21 +62,17 @@ func (b *Builder) Reset(n int) {
 		panic("graph: negative vertex count")
 	}
 	b.n = n
-	b.eu = b.eu[:0]
-	b.ev = b.ev[:0]
+	b.edges = b.edges[:0]
 }
 
 // Grow reserves room for at least edges additional AddEdge calls, so a
 // caller that knows the emission volume up front (the paper constructions
 // do) skips the append doubling series on a cold builder.
 func (b *Builder) Grow(edges int) {
-	if need := len(b.eu) + edges; cap(b.eu) < need {
-		eu := make([]int, len(b.eu), need)
-		copy(eu, b.eu)
-		b.eu = eu
-		ev := make([]int, len(b.ev), need)
-		copy(ev, b.ev)
-		b.ev = ev
+	if need := len(b.edges) + edges; cap(b.edges) < need {
+		grown := make([]Edge, len(b.edges), need)
+		copy(grown, b.edges)
+		b.edges = grown
 	}
 }
 
@@ -84,7 +81,7 @@ func (b *Builder) Grow(edges int) {
 // range.
 func (b *Builder) AddEdge(u, v int) {
 	if u < 0 || u >= b.n || v < 0 || v >= b.n {
-		panic(fmt.Sprintf("graph: edge (%d,%d) out of range for n=%d", u, v, b.n))
+		panic(edgeRangeError{u, v, b.n})
 	}
 	if u == v {
 		return
@@ -92,8 +89,16 @@ func (b *Builder) AddEdge(u, v int) {
 	if u > v {
 		u, v = v, u
 	}
-	b.eu = append(b.eu, u)
-	b.ev = append(b.ev, v)
+	b.edges = append(b.edges, Edge{U: u, V: v})
+}
+
+// edgeRangeError is AddEdge's panic value. Formatting the message only when
+// it is printed keeps fmt off AddEdge's path, so AddEdge inlines into the
+// emission loops.
+type edgeRangeError struct{ u, v, n int }
+
+func (e edgeRangeError) Error() string {
+	return fmt.Sprintf("graph: edge (%d,%d) out of range for n=%d", e.u, e.v, e.n)
 }
 
 // HasEdge reports whether {u,v} has been added. It scans the pending edge
@@ -103,8 +108,8 @@ func (b *Builder) HasEdge(u, v int) bool {
 	if u > v {
 		u, v = v, u
 	}
-	for i, eu := range b.eu {
-		if eu == u && b.ev[i] == v {
+	for _, e := range b.edges {
+		if e.U == u && e.V == v {
 			return true
 		}
 	}
@@ -112,8 +117,22 @@ func (b *Builder) HasEdge(u, v int) bool {
 }
 
 // NumEdges returns the number of distinct edges added so far. Like Build it
-// runs the counting-sort dedup pass, so it is O(n + edges added).
-func (b *Builder) NumEdges() int { return b.sortUnique() }
+// sorts the pending edges unless they are already sorted and distinct, so it
+// is O(n + edges added).
+func (b *Builder) NumEdges() int {
+	if sortedUnique(b.edges) {
+		return len(b.edges)
+	}
+	// Sorting the pending buffer in place changes nothing Build can see.
+	b.sortInto(b.edges)
+	uniq := 0
+	for i, e := range b.edges {
+		if i == 0 || e != b.edges[i-1] {
+			uniq++
+		}
+	}
+	return uniq
+}
 
 // Build produces the immutable graph. The builder remains usable and keeps
 // its accumulated edges.
@@ -128,86 +147,62 @@ func (b *Builder) Build() *Graph { return b.BuildInto(nil) }
 // stream of rebuilt graphs allocates nothing, while the graph returned for
 // step t stays valid until the rebuild for step t+2.
 func (b *Builder) BuildInto(dst *Graph) *Graph {
-	m := b.sortUnique()
 	if dst == nil {
 		dst = &Graph{}
 	}
 	dst.n = b.n
-	if cap(dst.edges) >= m {
-		dst.edges = dst.edges[:m]
+	dst.edges = growEdges(dst.edges, len(b.edges))
+	if sortedUnique(b.edges) {
+		copy(dst.edges, b.edges)
 	} else {
-		dst.edges = make([]Edge, m)
-	}
-	for i := 0; i < m; i++ {
-		dst.edges[i] = Edge{U: b.tu[i], V: b.tv[i]}
+		b.sortInto(dst.edges)
 	}
 	dst.rebuildCSR()
 	return dst
 }
 
-// sortUnique sorts the pending edge buffer into (tu, tv) by (U, V) with two
-// stable counting-sort passes and returns the number of distinct edges, which
-// occupy tu[:m], tv[:m] afterwards.
-func (b *Builder) sortUnique() int {
-	n, m := b.n, len(b.eu)
-	b.count = growInts(b.count, n+1)
-	b.su = growInts(b.su, m)
-	b.sv = growInts(b.sv, m)
-	b.tu = growInts(b.tu, m)
-	b.tv = growInts(b.tv, m)
-	count := b.count
-	// Pass 1: stable counting sort by V into (su, sv).
-	for i := range count {
-		count[i] = 0
-	}
-	for _, v := range b.ev {
-		count[v]++
-	}
-	sum := 0
-	for v := 0; v <= n; v++ {
-		c := count[v]
-		count[v] = sum
-		sum += c
-	}
-	for i := 0; i < m; i++ {
-		v := b.ev[i]
-		j := count[v]
-		count[v]++
-		b.su[j] = b.eu[i]
-		b.sv[j] = v
-	}
-	// Pass 2: stable counting sort by U into (tu, tv); the result is sorted
-	// by (U, V) because pass 1 was stable.
-	for i := range count {
-		count[i] = 0
-	}
-	for _, u := range b.su[:m] {
-		count[u]++
-	}
-	sum = 0
-	for u := 0; u <= n; u++ {
-		c := count[u]
-		count[u] = sum
-		sum += c
-	}
-	for i := 0; i < m; i++ {
-		u := b.su[i]
-		j := count[u]
-		count[u]++
-		b.tu[j] = u
-		b.tv[j] = b.sv[i]
-	}
-	// Drop adjacent duplicates.
-	uniq := 0
-	for i := 0; i < m; i++ {
-		if i > 0 && b.tu[i] == b.tu[i-1] && b.tv[i] == b.tv[i-1] {
-			continue
+// sortedUnique reports whether edges is strictly increasing in (U, V) order,
+// i.e. already sorted and free of duplicates.
+func sortedUnique(edges []Edge) bool {
+	for i := 1; i < len(edges); i++ {
+		p, e := edges[i-1], edges[i]
+		if p.U > e.U || (p.U == e.U && p.V >= e.V) {
+			return false
 		}
-		b.tu[uniq] = b.tu[i]
-		b.tv[uniq] = b.tv[i]
-		uniq++
 	}
-	return uniq
+	return true
+}
+
+// sortInto writes the pending edges into out (of the same length, which may
+// be the pending buffer itself), sorted by (U, V) with duplicates kept: a
+// stable counting sort by V into scratch, then one by U into out. Both
+// histograms are counted in a single pass over the input, since pass 2
+// permutes the same U values pass 1 read.
+func (b *Builder) sortInto(out []Edge) {
+	n := b.n
+	b.count = growInts(b.count, 2*n)
+	byU, byV := b.count[:n], b.count[n:]
+	clear(b.count)
+	for _, e := range b.edges {
+		byU[e.U]++
+		byV[e.V]++
+	}
+	sumU, sumV := 0, 0
+	for v := 0; v < n; v++ {
+		cu, cv := byU[v], byV[v]
+		byU[v], byV[v] = sumU, sumV
+		sumU += cu
+		sumV += cv
+	}
+	b.byV = growEdges(b.byV, len(b.edges))
+	for _, e := range b.edges {
+		b.byV[byV[e.V]] = e
+		byV[e.V]++
+	}
+	for _, e := range b.byV {
+		out[byU[e.U]] = e
+		byU[e.U]++
+	}
 }
 
 // growInts returns s resized to length n, reusing its capacity when possible
@@ -217,6 +212,18 @@ func growInts(s []int, n int) []int {
 		return s[:n]
 	}
 	return append(s[:cap(s)], make([]int, n-cap(s))...)
+}
+
+// growEdges returns s resized to length n, reusing its capacity when
+// possible. Contents are unspecified. Unlike growInts it allocates exactly n
+// when it must grow: a fresh make skips zeroing memory just obtained from
+// the OS, where an append-style extension clears it explicitly — megabytes
+// for a large clique's edge list.
+func growEdges(s []Edge, n int) []Edge {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]Edge, n)
 }
 
 // Graph is an immutable undirected simple graph in compressed adjacency form.
@@ -239,49 +246,47 @@ func FromEdges(n int, edges []Edge) *Graph {
 	return b.Build()
 }
 
-// fromSortedUniqueEdges builds a graph taking ownership of edges, which must
-// already be canonical (U < V), strictly sorted by (U, V), distinct and in
-// range — the invariants Graph.Edges() guarantees, so slices derived from an
-// existing graph (e.g. by InducedSubgraph's monotone renumbering) qualify
-// without a dedup pass.
-func fromSortedUniqueEdges(n int, edges []Edge) *Graph {
-	g := &Graph{n: n, edges: edges}
-	g.rebuildCSR()
-	return g
-}
-
-// rebuildCSR recomputes degree, adjOff, adj and volume from g.edges, which
-// must be canonical, sorted and distinct. Backing arrays are reused when
-// their capacity suffices. Neighbor lists come out sorted without an explicit
+// rebuildCSR drops adjacent duplicates from g.edges, which must be
+// canonical and sorted, counting the degrees in the same pass, then
+// recomputes adjOff, adj and volume. Backing arrays are reused when their
+// capacity suffices. Neighbor lists come out sorted without an explicit
 // sort: scanning edges in (U,V) order appends the below-v neighbors of every
 // vertex v in increasing U order first and the above-v neighbors in
 // increasing V order after them.
 func (g *Graph) rebuildCSR() {
-	n, m := g.n, len(g.edges)
+	n := g.n
 	g.degree = growInts(g.degree, n)
-	for v := range g.degree {
-		g.degree[v] = 0
-	}
-	for _, e := range g.edges {
+	clear(g.degree)
+	m := 0
+	prev := Edge{U: -1}
+	for i, e := range g.edges {
+		if e == prev {
+			continue
+		}
+		prev = e
+		if m != i { // only after a dropped duplicate
+			g.edges[m] = e
+		}
+		m++
 		g.degree[e.U]++
 		g.degree[e.V]++
 	}
+	g.edges = g.edges[:m]
+	// adjOff[v+1] starts as v's first slot and serves as its fill cursor,
+	// which leaves it at v's end — the start of v+1 — once v is filled.
 	g.adjOff = growInts(g.adjOff, n+1)
 	g.adjOff[0] = 0
+	start := 0
 	for v := 0; v < n; v++ {
-		g.adjOff[v+1] = g.adjOff[v] + g.degree[v]
+		g.adjOff[v+1] = start
+		start += g.degree[v]
 	}
 	g.adj = growInts(g.adj, 2*m)
-	// Reuse degree as the fill cursor and restore it afterwards from adjOff.
-	copy(g.degree, g.adjOff[:n])
 	for _, e := range g.edges {
-		g.adj[g.degree[e.U]] = e.V
-		g.degree[e.U]++
-		g.adj[g.degree[e.V]] = e.U
-		g.degree[e.V]++
-	}
-	for v := 0; v < n; v++ {
-		g.degree[v] = g.adjOff[v+1] - g.adjOff[v]
+		g.adj[g.adjOff[e.U+1]] = e.V
+		g.adjOff[e.U+1]++
+		g.adj[g.adjOff[e.V+1]] = e.U
+		g.adjOff[e.V+1]++
 	}
 	g.volume = 2 * m
 }
@@ -338,11 +343,7 @@ func reshape(dst *Graph, n, m int) *Graph {
 		dst = &Graph{}
 	}
 	dst.n = n
-	if cap(dst.edges) >= m {
-		dst.edges = dst.edges[:m]
-	} else {
-		dst.edges = make([]Edge, m)
-	}
+	dst.edges = growEdges(dst.edges, m)
 	dst.degree = growInts(dst.degree, n)
 	dst.adjOff = growInts(dst.adjOff, n+1)
 	dst.adj = growInts(dst.adj, 2*m)
@@ -520,7 +521,7 @@ func (g *Graph) CutSize(member []bool) int {
 //
 // Because g.edges is sorted and the renumbering is monotone, the surviving
 // edges are already sorted and distinct, so the subgraph is assembled
-// directly in compressed form without the dedup pass.
+// directly in compressed form without a sort.
 func (g *Graph) InducedSubgraph(member []bool) (*Graph, []int) {
 	oldToNew := make([]int, g.n)
 	var newToOld []int
@@ -538,7 +539,9 @@ func (g *Graph) InducedSubgraph(member []bool) (*Graph, []int) {
 			edges = append(edges, Edge{U: oldToNew[e.U], V: oldToNew[e.V]})
 		}
 	}
-	return fromSortedUniqueEdges(len(newToOld), edges), newToOld
+	sub := &Graph{n: len(newToOld), edges: edges}
+	sub.rebuildCSR()
+	return sub, newToOld
 }
 
 // Validate checks internal invariants; it returns a descriptive error if any

@@ -1,6 +1,9 @@
 package xrand
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // TestFloat64FillMatchesScalar pins the batch contract: Float64Fill is
 // draw-for-draw identical to sequential Float64 calls, for several buffer
@@ -66,4 +69,56 @@ func TestFillPanics(t *testing.T) {
 	mustPanic("ExpFill(0)", func() { r.ExpFill(0, make([]float64, 1)) })
 	mustPanic("GeometricFill(0)", func() { r.GeometricFill(0, make([]int, 1)) })
 	mustPanic("GeometricFill(1.5)", func() { r.GeometricFill(1.5, make([]int, 1)) })
+}
+
+// TestMarkovStepMatchesBernoulli pins MarkovStep to the scalar chain it
+// replaces — one Bernoulli(q) per present entry, one Bernoulli(p) per absent
+// one — over ordinary, tiny, extreme and out-of-range probabilities.
+func TestMarkovStepMatchesBernoulli(t *testing.T) {
+	pqs := [][2]float64{{0.05, 0.5}, {0.3, 0.1}, {0.001, 0.999}, {1, 0}, {0, 1},
+		{0.5, 0.5}, {1e-300, 1 - 1e-16}, {-0.5, 1.5}, {math.NaN(), 0.25}}
+	for _, pq := range pqs {
+		p, q := pq[0], pq[1]
+		init := New(5)
+		state := make([]bool, 4096)
+		for i := range state {
+			state[i] = init.Bernoulli(0.4)
+		}
+		want := append([]bool(nil), state...)
+		a, b := New(17), New(17)
+		for round := 0; round < 3; round++ {
+			a.MarkovStep(state, p, q)
+			for i, on := range want {
+				if on {
+					want[i] = !b.Bernoulli(q)
+				} else {
+					want[i] = b.Bernoulli(p)
+				}
+			}
+			for i := range want {
+				if state[i] != want[i] {
+					t.Fatalf("p=%v q=%v round %d: entry %d = %v, want %v", p, q, round, i, state[i], want[i])
+				}
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("p=%v q=%v: MarkovStep advanced the stream differently from Bernoulli", p, q)
+		}
+	}
+}
+
+// TestThreshold53IsExact checks the identity MarkovStep rests on,
+// Float64() < p ⇔ x>>11 < ⌈p·2⁵³⌉, at the boundary: for drawn values f,
+// with p equal to f and to its two float neighbours.
+func TestThreshold53IsExact(t *testing.T) {
+	r := New(99)
+	for i := 0; i < 100000; i++ {
+		x := r.Uint64()
+		f := float64(x>>11) / (1 << 53)
+		for _, p := range []float64{f, math.Nextafter(f, 2), math.Nextafter(f, -1)} {
+			if got, want := x>>11 < threshold53(p), f < p; got != want {
+				t.Fatalf("x>>11=%d p=%v: threshold says %v, Float64() < p says %v", x>>11, p, got, want)
+			}
+		}
+	}
 }

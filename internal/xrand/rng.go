@@ -9,7 +9,10 @@
 // reproducible from a single seed.
 package xrand
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a deterministic pseudo-random number generator (xoshiro256**).
 // The zero value is not valid; use New.
@@ -92,8 +95,7 @@ func (r *RNG) Intn(n int) int {
 // nearly-divisionless method with rejection to remove modulo bias.
 func (r *RNG) boundedUint64(bound uint64) uint64 {
 	for {
-		v := r.Uint64()
-		hi, lo := mul64(v, bound)
+		hi, lo := bits.Mul64(r.Uint64(), bound)
 		if lo < bound {
 			threshold := -bound % bound
 			if lo < threshold {
@@ -102,21 +104,6 @@ func (r *RNG) boundedUint64(bound uint64) uint64 {
 		}
 		return hi
 	}
-}
-
-// mul64 returns the 128-bit product of x and y as (hi, lo).
-func mul64(x, y uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	x0, x1 := x&mask32, x>>32
-	y0, y1 := y&mask32, y>>32
-	w0 := x0 * y0
-	t := x1*y0 + w0>>32
-	w1 := t & mask32
-	w2 := t >> 32
-	w1 += x0 * y1
-	hi = x1*y1 + w2 + w1>>32
-	lo = x * y
-	return hi, lo
 }
 
 // Float64 returns a uniform value in [0, 1) with 53 bits of precision.

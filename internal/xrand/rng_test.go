@@ -1,6 +1,9 @@
 package xrand
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -306,19 +309,34 @@ func TestShuffleKeepsElements(t *testing.T) {
 	}
 }
 
-func TestMul64(t *testing.T) {
-	cases := []struct {
-		x, y, hi, lo uint64
-	}{
-		{0, 0, 0, 0},
-		{1, 1, 0, 1},
-		{math.MaxUint64, 2, 1, math.MaxUint64 - 1},
-		{1 << 32, 1 << 32, 1, 0},
-	}
-	for _, c := range cases {
-		hi, lo := mul64(c.x, c.y)
-		if hi != c.hi || lo != c.lo {
-			t.Errorf("mul64(%d,%d) = (%d,%d), want (%d,%d)", c.x, c.y, hi, lo, c.hi, c.lo)
+// TestIntnGolden pins the Intn stream, which drives the mobile walk, the
+// gnrho permutations and the v1 kernels: the first draws over a spread of
+// bounds, then a digest of a million draws over bounds 1..977 and ten
+// thousand near 3·2⁶¹, where a quarter of the draws are rejected, and the
+// generator position after them.
+func TestIntnGolden(t *testing.T) {
+	r := New(20200424)
+	bounds := []int{1, 2, 3, 5, 7, 10, 64, 977, 1000, 1 << 20, 3 << 61, 1<<63 - 1}
+	want := []int{0, 1, 1, 3, 1, 8, 18, 603, 343, 1042793, 3014897782745345143, 6878856447004269779,
+		0, 0, 1, 2, 1, 7, 20, 480, 725, 556701, 6000798356410838060, 5490199554662253824}
+	for i, w := range want {
+		if got := r.Intn(bounds[i%len(bounds)]); got != w {
+			t.Fatalf("draw %d: Intn(%d) = %d, want %d", i, bounds[i%len(bounds)], got, w)
 		}
+	}
+	h := sha256.New()
+	var buf [8]byte
+	for i := 0; i < 1000000; i++ {
+		binary.LittleEndian.PutUint64(buf[:], uint64(r.Intn(1+i%977)))
+		h.Write(buf[:])
+	}
+	for i := 0; i < 10000; i++ {
+		binary.LittleEndian.PutUint64(buf[:], uint64(r.Intn(3<<61+i)))
+		h.Write(buf[:])
+	}
+	got := fmt.Sprintf("%x %016x", h.Sum(nil), r.Uint64())
+	const digest = "6d162090ec1d69731358cd840b4c1fb97baa958e9040f250f4cbcf1ac39288ac 4e218cfdfbdaee87"
+	if got != digest {
+		t.Fatalf("Intn stream digest = %s, want %s", got, digest)
 	}
 }

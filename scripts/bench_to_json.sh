@@ -20,14 +20,11 @@ fi
 goversion=$(go version | awk '{print $3}')
 # Most recent committed trajectory point: newest date first, and within one
 # date the highest numeric rerun suffix (BENCH_<date>.json < BENCH_<date>.2
-# < BENCH_<date>.3, which plain lexicographic sort gets backwards). The
-# service-load series (BENCH_SERVICE_*.json) matches the glob too but holds
-# other measurements, and its names sort after every date, so it is
-# skipped. Empty files are skipped so an output file pre-created by a shell
-# redirect can never select itself as baseline.
+# < BENCH_<date>.3, which plain lexicographic sort gets backwards). Empty
+# files are skipped so an output file pre-created by a shell redirect can
+# never select itself as baseline.
 prev=$(
 	for f in BENCH_*.json; do
-		case $f in BENCH_SERVICE_*) continue ;; esac
 		[ -s "$f" ] || continue
 		printf '%s\n' "$f"
 	done 2>/dev/null | awk -F. '
